@@ -3,15 +3,16 @@
     python3 perfbench/cycle.py --workload W --seed N --index K --work DIR
         [--spans DIR]
 
-A cycle starts a server child (``server_main.py``), runs the workload's
-warm-up (checked, not timed) and timed operations over one connection
-in a closed loop, reads every relation back, stops the server, and then
-recovers the server's WAL three ways — full replay, replay from the
-newest checkpoint and a fresh replica catching up — each timed after
-``gc.collect()``.  It prints one JSON object: what it measured, what it
-attempted and what failed.  With ``--spans`` the client and recovery
-layers are traced and the server child is started traced; both write
-their spans into that directory.
+A cycle times the cold start of a server child (``server_main.py``),
+runs the workload's warm-up (checked, not timed) and timed operations
+over one connection in a closed loop, reads every relation back, stops
+the server, and then recovers the server's WAL three ways — full
+replay, replay from the newest checkpoint and a fresh replica catching
+up — in ``REPEATS`` interleaved rounds, each recovery timed after
+``gc.collect()``.  It prints one JSON object: what it measured, the
+clock intervals it timed, what it attempted and what failed.  With
+``--spans`` the client and recovery layers are traced and the server
+child is started traced; both write their spans into that directory.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ ROOT = HERE.parent
 ROWS = 3000
 CHECKPOINT_EVERY = 500
 FILL = 50            # rows inserted before inserts alternate with deletes
+WARMUP = 20          # untimed commits at the start of each cycle
 WARMUP_READS = 2
+REPEATS = 2          # timed rounds of the three recoveries per cycle
 
 
 class Workload(NamedTuple):
-    warmup: int            # untimed commits at the start of each cycle
     commits: int           # timed commits per cycle
     txn_every: int         # every Nth commit is an 8-op transaction (0: never)
     reads_per_commit: int  # head reads after each timed commit
@@ -48,15 +50,14 @@ class Workload(NamedTuple):
 
 WORKLOADS = {
     # The wire, the commit gate and WAL append do nearly all the work.
-    "commit_stream": Workload(warmup=20, commits=600, txn_every=0,
+    "commit_stream": Workload(commits=600, txn_every=0,
                               reads_per_commit=0, read_every=10),
-    # Row materialisation and response encoding dominate; the warm-up
-    # crosses one checkpoint so the head has history behind it.
-    "read_mix": Workload(warmup=520, commits=20, txn_every=0,
+    # Row materialisation and response encoding dominate.
+    "read_mix": Workload(commits=25, txn_every=0,
                          reads_per_commit=10, read_every=0),
     # Multi-row deltas; replay and catch-up of the log take the largest
     # share of the cycle.
-    "recovery": Workload(warmup=20, commits=1000, txn_every=4,
+    "recovery": Workload(commits=800, txn_every=4,
                          reads_per_commit=0, read_every=25),
 }
 
@@ -97,8 +98,8 @@ def make_plan(w: Workload, seed: int) -> list[Step]:
         return op("delete", row)
 
     steps: list[Step] = []
-    for i in range(w.warmup + w.commits):
-        timed = i >= w.warmup
+    for i in range(WARMUP + w.commits):
+        timed = i >= WARMUP
         if w.txn_every and i % w.txn_every == w.txn_every - 1 \
                 and len(present) >= 4:
             ops = [delete() for _ in range(4)] + [insert() for _ in range(4)]
@@ -108,11 +109,11 @@ def make_plan(w: Workload, seed: int) -> list[Step]:
             ops = [delete()]
         count = base + len(present)
         steps.append(Step("commit", ops, count, timed))
-        if i == w.warmup - 1:
+        if i == WARMUP - 1:
             steps += [Step("read", None, count, False)] * WARMUP_READS
         if timed:
             reads = w.reads_per_commit
-            if w.read_every and (i - w.warmup + 1) % w.read_every == 0:
+            if w.read_every and (i - WARMUP + 1) % w.read_every == 0:
                 reads += 1
             steps += [Step("read", None, count, True)] * reads
     return steps
@@ -131,9 +132,12 @@ class Cycle:
         self.rss_mb = 0.0
         self.wal_bytes = 0
         self.commits = 0
-        self.replay_full_s = 0.0
-        self.replay_ckpt_s = 0.0
-        self.catchup_s = 0.0
+        self.replay_full_s: list[float] = []
+        self.replay_ckpt_s: list[float] = []
+        self.catchup_s: list[float] = []
+        # ``perf_counter`` intervals of the timed sections: the loop and
+        # each recovery.  The traced run keeps only spans inside them.
+        self.windows: list[tuple[float, float]] = []
         self.attempted = 0
         self.failed = 0
         self.problems: list[str] = []
@@ -162,11 +166,16 @@ def rows_of(relation) -> set:
 
 def drive(cycle: Cycle, client, steps: list[Step], telemetry: bool) -> dict:
     """The closed loop over one connection; returns the relations read
-    over the wire afterwards."""
+    over the wire afterwards (empty when they could not be read)."""
     from repro.errors import ReproError
 
     clock = time.perf_counter
-    seq = client.status()["seq"]
+    cycle.attempted += 1
+    try:
+        seq = client.status()["seq"]
+    except (ReproError, OSError) as exc:
+        cycle.fail(f"status: {exc!r}")
+        return {}
     first = seq
     loop_start = loop_end = None
     for step in steps:
@@ -198,79 +207,99 @@ def drive(cycle: Cycle, client, steps: list[Step], telemetry: bool) -> dict:
             cycle.timed_ops += 1
             (cycle.commit_s if step.kind == "commit"
              else cycle.read_s).append(t1 - t0)
-    cycle.loop_s = loop_end - loop_start
+    if loop_start is not None:
+        cycle.loop_s = loop_end - loop_start
+        cycle.windows.append((loop_start, loop_end))
     cycle.attempted += 1
-    status = client.status()
+    try:
+        status = client.status()
+        wire = {name: {frozenset(r.items()) for r in client.read(name)}
+                for name in client.server_info["relations"]}
+        if telemetry:
+            cycle.telemetry = client.metrics()
+    except (ReproError, OSError) as exc:
+        cycle.fail(f"read-back: {exc!r}")
+        return {}
     if status["seq"] != first + cycle.commits:
         cycle.fail(f"server seq {status['seq']} after "
                    f"{cycle.commits} commits from {first}")
-    wire = {name: {frozenset(r.items()) for r in client.read(name)}
-            for name in client.server_info["relations"]}
-    if telemetry:
-        cycle.telemetry = client.metrics()
     return wire
 
 
+def timed(cycle: Cycle, samples: list[float], fn):
+    """``fn()`` after ``gc.collect()``, its time appended to
+    ``samples``; returns its result."""
+    gc.collect()
+    t0 = time.perf_counter()
+    result = fn()
+    t1 = time.perf_counter()
+    samples.append(t1 - t0)
+    cycle.windows.append((t0, t1))
+    return result
+
+
 def recover(cycle: Cycle, wal_dir: Path, wire: dict, audit: bool) -> None:
-    """Time the three recoveries of the cycle's WAL and check that they
-    agree with each other and with the rows served over the wire.  Every
+    """Time the three recoveries of the cycle's WAL in ``REPEATS``
+    interleaved rounds, and check in the first round that they agree
+    with each other and with the rows served over the wire.  Every
     cycle of a run replays the same plan, so ``audit`` is set on the
     first only."""
     from repro.server import ReplicaEngine
     from repro.store import StoreEngine
 
-    clock = time.perf_counter
-    cycle.attempted += 3
-    gc.collect()
-    t0 = clock()
-    full = StoreEngine.replay(wal_dir, from_checkpoint=False)
-    cycle.replay_full_s = clock() - t0
-    head = full.state()
-    if any(rows_of(head.R(name)) != rows for name, rows in wire.items()):
-        cycle.fail("full replay head differs from the rows read over "
-                   "the wire")
-    if audit and not full.audit().ok():
-        cycle.fail("full replay head does not audit clean")
-    del full
-    gc.collect()
-    t0 = clock()
-    ckpt = StoreEngine.replay(wal_dir, from_checkpoint=True)
-    cycle.replay_ckpt_s = clock() - t0
-    if ckpt.state() != head:
-        cycle.fail("checkpoint replay head differs from full replay")
-    del ckpt
-    gc.collect()
-    t0 = clock()
-    replica = ReplicaEngine(wal_dir)
-    replica.catch_up(timeout=60.0)
-    cycle.catchup_s = clock() - t0
-    if replica.behind_bytes() or replica.state() != head:
-        cycle.fail("replica head differs from full replay")
-    replica.close()
+    def catch_up():
+        replica = ReplicaEngine(wal_dir)
+        replica.catch_up(timeout=60.0)
+        return replica
+
+    for r in range(REPEATS):
+        full = timed(cycle, cycle.replay_full_s, lambda: StoreEngine.replay(
+            wal_dir, from_checkpoint=False))
+        if r == 0:
+            cycle.attempted += 3
+            head = full.state()
+            if not wire or any(rows_of(head.R(name)) != rows
+                               for name, rows in wire.items()):
+                cycle.fail("full replay head differs from the rows read "
+                           "over the wire")
+            if audit and not full.audit().ok():
+                cycle.fail("full replay head does not audit clean")
+        del full
+        ckpt = timed(cycle, cycle.replay_ckpt_s, lambda: StoreEngine.replay(
+            wal_dir, from_checkpoint=True))
+        if r == 0 and ckpt.state() != head:
+            cycle.fail("checkpoint replay head differs from full replay")
+        del ckpt
+        replica = timed(cycle, cycle.catchup_s, catch_up)
+        if r == 0 and (replica.behind_bytes() or replica.state() != head):
+            cycle.fail("replica head differs from full replay")
+        replica.close()
+        del replica
 
 
-def run_cycle(k: int, work: Path, steps: list[Step],
-              spans_dir: Path | None) -> Cycle:
-    """One cycle on a fresh server child."""
-    from repro.server import StoreClient
-
-    cycle = Cycle()
-    wal_dir = work / f"wal{k}"
+def start_server(wal_dir: Path, spans: Path | None
+                 ) -> tuple[subprocess.Popen, int, float]:
+    """Spawn a server child; returns it, its port and the time from the
+    spawn to its port being printed."""
     cmd = [sys.executable, str(HERE / "server_main.py"), "--wal",
            str(wal_dir)]
-    if spans_dir is not None:
-        cmd += ["--spans", str(spans_dir / f"server{k}.json")]
+    if spans is not None:
+        cmd += ["--spans", str(spans)]
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, stdin=subprocess.PIPE,
                             stdout=subprocess.PIPE, cwd=ROOT, text=True)
+    hello = proc.stdout.readline()
+    setup_s = time.perf_counter() - t0
+    if not hello:
+        proc.stdin.close()
+        raise RuntimeError(f"server child exited with {proc.wait()}")
+    return proc, json.loads(hello)["port"], setup_s
+
+
+def stop_server(proc: subprocess.Popen) -> dict:
+    """Close the child's stdin and return the report it prints on
+    exit."""
     try:
-        hello = proc.stdout.readline()
-        cycle.setup_s = time.perf_counter() - t0
-        if not hello:
-            raise RuntimeError(f"server child exited with {proc.wait()}")
-        port = json.loads(hello)["port"]
-        with StoreClient("127.0.0.1", port) as client:
-            wire = drive(cycle, client, steps, spans_dir is not None)
         proc.stdin.close()
         report = json.loads(proc.stdout.readline())
         proc.wait(timeout=60)
@@ -280,6 +309,28 @@ def run_cycle(k: int, work: Path, steps: list[Step],
         proc.wait()
     if proc.returncode:
         raise RuntimeError(f"server child exited with {proc.returncode}")
+    return report
+
+
+def run_cycle(k: int, work: Path, steps: list[Step],
+              spans_dir: Path | None) -> Cycle:
+    """One cycle on a fresh server child: the load, then recovery of
+    its WAL."""
+    from repro.server import StoreClient
+
+    cycle = Cycle()
+    wal_dir = work / f"wal{k}"
+    spans = None if spans_dir is None else spans_dir / f"server{k}.json"
+    proc, port, cycle.setup_s = start_server(wal_dir, spans)
+    try:
+        with StoreClient("127.0.0.1", port) as client:
+            wire = drive(cycle, client, steps, spans_dir is not None)
+    except OSError as exc:
+        cycle.attempted += 1
+        cycle.fail(f"connect: {exc!r}")
+        wire = {}
+    finally:
+        report = stop_server(proc)
     cycle.rss_mb = report["vmhwm_kb"] / 1024.0
     cycle.wal_bytes = sum(p.stat().st_size for p in wal_dir.iterdir())
     recover(cycle, wal_dir, wire, audit=k == 0)

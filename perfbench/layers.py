@@ -5,7 +5,10 @@ child) are merged into one forest.  Within a process a span's parent
 was recorded when it opened; a server span with no parent is attached
 to the client request whose interval contains it — one connection, one
 shared monotonic clock.  Every span then carries the id of its
-top-level ancestor as its trace id.
+top-level ancestor as its trace id.  Only traces whose top-level span
+lies inside one of the cycle's timed sections (the loop and each timed
+recovery) are kept: warm-up, server start-up and the checks around the
+timed sections are left out.
 
 Self time is a span's duration minus the time covered by the union of
 its children's intervals.  For a commit the children of ``client.run``
@@ -55,11 +58,14 @@ class Span:
 
 class Forest:
     """All spans of one traced run, linked across processes.  ``pairs``
-    holds one ``(client_spans, server_spans)`` pair per cycle."""
+    holds one ``(client_spans, server_spans, windows)`` triple per
+    cycle, ``windows`` being the cycle's timed intervals."""
 
-    def __init__(self, pairs: list[tuple[list, list]]):
+    def __init__(self, pairs: list[tuple[list, list, list]]):
         spans: list[Span] = []
-        for k, (client, server) in enumerate(pairs):
+        windows: dict[str, list] = {}
+        for k, (client, server, timed) in enumerate(pairs):
+            windows[f"client{k}"] = windows[f"server{k}"] = timed
             client_spans = [Span(f"client{k}", raw) for raw in client]
             spans += client_spans
             requests = sorted((s for s in client_spans
@@ -73,14 +79,22 @@ class Forest:
                     if i >= 0 and requests[i].end >= s.end:
                         s.parent = requests[i].key
                 spans.append(s)
-        self.spans = spans
-        self.by_key = by_key = {s.key: s for s in spans}
+        by_key = {s.key: s for s in spans}
         for s in spans:
             if s.parent is not None:
                 by_key[s.parent].children.append(s)
         for s in sorted(spans, key=lambda s: s.start):
             parent = by_key.get(s.parent) if s.parent is not None else None
             s.trace = s.key if parent is None else (parent.trace or s.key)
+
+        def timed(root: Span) -> bool:
+            return any(a <= root.start and root.end <= b
+                       for a, b in windows[root.key[0]])
+
+        kept = {key for key, s in by_key.items()
+                if s.trace == key and timed(s)}
+        self.spans = spans = [s for s in spans if s.trace in kept]
+        self.by_key = {s.key: s for s in spans}
         self.by_name: dict[str, list[Span]] = defaultdict(list)
         for s in spans:
             self.by_name[s.name].append(s)

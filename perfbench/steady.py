@@ -2,16 +2,15 @@
 """Steadiness check: run every workload k times and report the spread.
 
     python3 perfbench/steady.py [--runs K] [--seed0 N]
-        [--workloads a,b] [--seconds S] [--json PATH]
 
-Run from the root of a checkout.  Each workload runs K times with seeds
-N, N+1, ...; for every end-to-end metric the script prints the median
-of the K values and the interquartile spread, ``(Q3 - Q1) / median``
-with the quartiles of ``statistics.quantiles(values, n=4)``, beside the
-metric's bound from ``BENCHMARK.json``.  A spread above a third of the
-bound is flagged ``NOISY``; the exit code is 1 when any metric other
-than ``setup_s`` is flagged, or when any run fails.  Raw values are
-written to ``--json`` when given.
+Run from the root of a checkout.  Every workload of ``BENCHMARK.json``
+runs K times for its ``run_seconds``, with seeds N, N+1, ...; for every
+end-to-end metric the script prints the median of the K values and the
+interquartile spread, ``(Q3 - Q1) / median`` with the quartiles of
+``statistics.quantiles(values, n=4)``, beside the metric's bound from
+``BENCHMARK.json``.  A spread above a third of the bound is flagged
+``NOISY``; the exit code is 1 when any metric is flagged or any run
+fails.
 """
 
 from __future__ import annotations
@@ -35,15 +34,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1)
-    parser.add_argument("--workloads")
-    parser.add_argument("--seconds", type=int)
-    parser.add_argument("--json")
     args = parser.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    names = ([w["name"] for w in bench["workloads"]]
-             if args.workloads is None else args.workloads.split(","))
-    seconds = args.seconds or bench["run_seconds"]
+    names = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
 
     raw: dict[str, dict[str, list[float]]] = {}
     failed_runs = 0
@@ -76,13 +71,10 @@ def main() -> int:
             s = spread(values)
             bound = bounds[name]
             flag = s > bound / 3
-            if flag and name != "setup_s":
-                noisy += 1
+            noisy += flag
             print(f"{workload:14s} {name:22s} "
                   f"{statistics.median(values):12.4f} {s:8.3f} "
                   f"{bound:6.2f}{'  NOISY' if flag else ''}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(raw, indent=1))
     return 1 if noisy or failed_runs else 0
 
 
