@@ -4,8 +4,8 @@ PR 7 put the store behind a socket; this bench measures what the wire
 costs and what the replicas buy:
 
 * ``wire_commits`` — W client threads committing disjoint ``manager``
-  inserts over loopback TCP (begin/stage/commit round trips through the
-  asyncio front end, commits executing behind the backpressure
+  inserts over loopback TCP (one ``commit`` round trip each through
+  the asyncio front end, commits executing behind the backpressure
   semaphore) against a *fresh* engine+server per round (pedantic mode —
   listener startup is setup, untimed).  ``COMMITS / min_s`` is the
   sustained commits/s through the wire; compare ``bench_a9``'s in-process

@@ -1,9 +1,9 @@
 """Dependency-free metrics: counters, gauges, fixed-bucket histograms.
 
 The registry is the one place runtime counts live.  PRs 5-9 grew ad-hoc
-integer attributes (``StoreServer._commits``, ``ClientPool._evicted``,
-``ReadBalancer.reads`` ...) that only tests ever read; this module gives
-them a shared, thread-safe home that the ``metrics`` wire op and the
+integer attributes (a server's commit count, a pool's evictions, a
+balancer's per-replica reads ...) that only tests ever read; this module
+gives them a shared, thread-safe home that the ``metrics`` wire op and the
 ``repro metrics`` CLI can serve uniformly.
 
 Design points:

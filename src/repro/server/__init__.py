@@ -3,8 +3,8 @@
 An asyncio front end (:mod:`server`) speaks a length-prefixed JSON
 frame protocol (:mod:`protocol`; byte layer in :mod:`repro.io`) over a
 :class:`~repro.store.StoreEngine`, mirroring the embedded session API —
-begin/stage/commit with the same typed errors, witness findings
-included.  :mod:`replica` adds read scale-out: a
+one ``commit`` frame per transaction, with the same typed errors,
+witness findings included.  :mod:`replica` adds read scale-out: a
 :class:`ReplicaEngine` tails the primary's write-ahead log and applies
 every record through the replay code path, so its version graph is
 identical to the primary's at the prefix it has consumed.
@@ -23,7 +23,7 @@ in this directory for the wire-protocol specification, the replica
 consistency semantics, and the epoch/fencing state machine.
 """
 
-from repro.server.client import RemoteTxn, StoreClient
+from repro.server.client import StoreClient
 from repro.server.cluster import (
     Coordinator,
     HealthMonitor,
@@ -59,7 +59,6 @@ __all__ = [
     "OPS",
     "PROTOCOL_VERSION",
     "ReadBalancer",
-    "RemoteTxn",
     "ReplicaEngine",
     "RetryPolicy",
     "STATUS_CORE_KEYS",

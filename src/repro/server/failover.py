@@ -351,7 +351,7 @@ class FailoverClient:
     # -- writes --------------------------------------------------------
     def run(self, ops: Iterable[dict],
             deadline: float | None = None) -> dict:
-        """One transaction (begin, stage ``ops``, commit) against the
+        """One transaction (``ops`` in one ``commit`` frame) against the
         current primary, surviving reconnects and promotions until it
         lands or the deadline lapses."""
         ops = list(ops)

@@ -3,10 +3,11 @@
 One :class:`StoreServer` owns one listening socket and one engine.  A
 connection is a sequence of length-prefixed JSON frames (see
 :mod:`repro.io` for the bytes and :mod:`repro.server.protocol` for the
-messages); each connection gets its own :class:`~repro.store.Session`
-and its own transaction-handle namespace, so the wire API mirrors the
-embedded one — begin, stage, commit, read — with the same exceptions
-coming back as typed error payloads.
+messages); each connection gets its own :class:`~repro.store.Session`.
+A commit is one stateless frame carrying all of its ops: the server
+buffers them into a fresh transaction and commits it with the session's
+retry loop, so no transaction state lives between frames, and the same
+exceptions an embedded caller sees come back as typed error payloads.
 
 Robustness posture:
 
@@ -53,19 +54,13 @@ from repro.store.session import Session, SessionService
 
 
 class _Connection:
-    """Per-connection state: one session, one txn-handle namespace."""
+    """Per-connection state: the bound branch and its session."""
 
-    __slots__ = ("branch", "session", "txns", "_next_txn")
+    __slots__ = ("branch", "session")
 
     def __init__(self) -> None:
         self.branch = "main"
         self.session: Session | None = None
-        self.txns: dict[str, Any] = {}
-        self._next_txn = 0
-
-    def new_handle(self) -> str:
-        self._next_txn += 1
-        return f"t{self._next_txn}"
 
 
 class StoreServer:
@@ -103,8 +98,7 @@ class StoreServer:
         (``attach_observability``), so a plain ``serve --listen``
         already records commit-phase histograms; pass shared instances
         to aggregate several servers into one registry.  The server's
-        own counters (``server.*``) live in the registry; the old
-        ``_commits``-style attributes remain as read-only views.
+        own counters (``server.*``) live only in the registry.
     slow_commit_threshold:
         Seconds past which a commit lands in the engine's structured
         slow-commit log (default 0.1; ``None`` disables the log).
@@ -158,37 +152,6 @@ class StoreServer:
         self._c_frames_served = m.counter("server.frames_served")
         self._c_bad_frames = m.counter("server.bad_frames")
         self._c_idle_closed = m.counter("server.idle_closed")
-
-    # The pre-registry counter attributes, kept as read-only views so
-    # existing tests and callers keep working; the registry is the
-    # source of truth.
-    @property
-    def _connections(self) -> int:
-        return int(self._g_connections.value)
-
-    @property
-    def _inflight_commits(self) -> int:
-        return int(self._g_inflight.value)
-
-    @property
-    def _commits(self) -> int:
-        return self._c_commits.value
-
-    @property
-    def _rejected_overloaded(self) -> int:
-        return self._c_rejected_overloaded.value
-
-    @property
-    def _frames_served(self) -> int:
-        return self._c_frames_served.value
-
-    @property
-    def _bad_frames(self) -> int:
-        return self._c_bad_frames.value
-
-    @property
-    def _idle_closed(self) -> int:
-        return self._c_idle_closed.value
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -314,7 +277,7 @@ class StoreServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        if self._connections >= self.max_connections:
+        if self._g_connections.value >= self.max_connections:
             self._c_rejected_overloaded.inc()
             await self._send(writer, protocol.error_response(
                 None, "overloaded",
@@ -402,12 +365,17 @@ class StoreServer:
         tracer = self.tracer
         start = tracer.clock() if tracer.enabled else 0.0
         self.metrics.counter(f"server.ops.{op}").inc()
-        try:
-            handler = getattr(self, f"_op_{op}")
-            response = await handler(conn, rid, message)
-        except Exception as exc:  # typed errors -> typed payloads
-            response = {"id": rid, "ok": False,
-                        "error": protocol.error_payload(exc)}
+        if self.read_only and op in protocol.WRITE_OPS:
+            response = protocol.error_response(
+                rid, "read-only", f"'{op}' is not served by a read-only "
+                "replica; connect to the primary")
+        else:
+            try:
+                handler = getattr(self, f"_op_{op}")
+                response = await handler(conn, rid, message)
+            except Exception as exc:  # typed errors -> typed payloads
+                response = {"id": rid, "ok": False,
+                            "error": protocol.error_payload(exc)}
         if tracer.enabled:
             end = tracer.clock()
             tracer.record({
@@ -425,11 +393,6 @@ class StoreServer:
         if self.read_only:
             return self.engine.engine  # raises StoreError until ready
         return self.engine
-
-    def _require_writable(self, op: str) -> None:
-        if self.read_only:
-            raise StoreError(f"'{op}' is not served by a read-only "
-                             "replica; connect to the primary")
 
     async def _op_hello(self, conn, rid, message) -> dict:
         branch = message.get("branch", "main")
@@ -476,15 +439,15 @@ class StoreServer:
             epoch=summary.get("epoch", 0),
             ready=True,
             counters=self._status_counters(),
-            connections=self._connections,
+            connections=int(self._g_connections.value),
             max_connections=self.max_connections,
-            inflight_commits=self._inflight_commits,
+            inflight_commits=int(self._g_inflight.value),
             max_inflight_commits=self.max_inflight_commits,
-            commits=self._commits,
-            frames_served=self._frames_served,
-            bad_frames=self._bad_frames,
-            rejected_overloaded=self._rejected_overloaded,
-            idle_closed=self._idle_closed,
+            commits=self._c_commits.value,
+            frames_served=self._c_frames_served.value,
+            bad_frames=self._c_bad_frames.value,
+            rejected_overloaded=self._c_rejected_overloaded.value,
+            idle_closed=self._c_idle_closed.value,
             live_sessions=len(self.service.live_sessions()),
             seq=summary["seq"], versions=summary["versions"],
             branches=summary["branches"]))
@@ -513,50 +476,19 @@ class StoreServer:
             conn.session = self.service.session(conn.branch)
         return conn.session
 
-    async def _op_begin(self, conn, rid, message) -> dict:
-        self._require_writable("begin")
-        txn = self._session(conn).begin()
-        handle = conn.new_handle()
-        conn.txns[handle] = txn
-        return protocol.ok_response(rid, txn=handle, base=txn.base.vid)
-
-    def _txn_for(self, conn: _Connection, message: dict):
-        handle = message.get("txn")
-        if not isinstance(handle, str):
-            raise ProtocolError("'txn' must be a transaction handle "
-                                "string from 'begin'")
-        try:
-            return handle, conn.txns[handle]
-        except KeyError:
-            raise StoreError(
-                f"unknown transaction handle {handle!r} (already "
-                "committed, or from another connection?)") from None
-
-    async def _op_stage(self, conn, rid, message) -> dict:
-        self._require_writable("stage")
-        handle, txn = self._txn_for(conn, message)
+    async def _op_commit(self, conn, rid, message) -> dict:
         ops = message.get("ops")
         if not isinstance(ops, list):
             raise ProtocolError("'ops' must be a list of op records")
-        before = len(txn.ops)
-        try:
-            txn.apply_records(ops)
-        except Exception:
-            del txn.ops[before:]  # a failed stage leaves the txn as-was
-            raise
-        return protocol.ok_response(rid, txn=handle,
-                                    staged=len(txn.ops))
-
-    async def _op_commit(self, conn, rid, message) -> dict:
-        self._require_writable("commit")
-        handle, txn = self._txn_for(conn, message)
-        del conn.txns[handle]  # the handle is consumed either way
         session = self._session(conn)
+
+        def commit():
+            return session.commit(session.begin().apply_records(ops))
+
         async with self._commit_slots:  # write backpressure
             self._g_inflight.inc()
             try:
-                version = await self._loop.run_in_executor(
-                    None, session.commit, txn)
+                version = await self._loop.run_in_executor(None, commit)
             finally:
                 self._g_inflight.dec()
         self._c_commits.inc()
@@ -580,7 +512,6 @@ class StoreServer:
                                     version=version.vid)
 
     async def _op_branch(self, conn, rid, message) -> dict:
-        self._require_writable("branch")
         name = message.get("name")
         if not isinstance(name, str):
             raise ProtocolError("'name' must be a branch name string")

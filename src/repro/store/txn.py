@@ -154,7 +154,7 @@ class Transaction:
         Rows are re-validated through the public buffer methods, so
         neither a corrupted log nor a remote client can smuggle
         malformed tuples into the store — this is the single entry
-        point WAL replay and the network ``stage`` op share.  Raises
+        point WAL replay and the network ``commit`` op share.  Raises
         :class:`StoreError` on unknown op kinds and ``KeyError``-free
         :class:`StoreError` on structurally broken records.
         """

@@ -463,17 +463,20 @@ class TestMetricsOverTheWire:
 # thin views over the registry
 # ----------------------------------------------------------------------
 class TestThinViews:
-    def test_server_attributes_read_through_the_registry(self):
+    def test_server_counters_live_in_the_registry(self):
         engine = _mk_engine()
         with StoreServer(engine) as server:
             with StoreClient(*server.address) as client:
                 client.ping()
-                assert server._connections == 1
-                assert server._frames_served >= 2
-            assert server._commits == 0
-            assert server._bad_frames == 0
-            assert server.metrics.snapshot()["counters"][
-                "server.frames_served"] == server._frames_served
+                snap = server.metrics.snapshot()
+                assert snap["gauges"]["server.connections"] == 1
+                assert snap["counters"]["server.frames_served"] >= 2
+                status = client.status()
+            snap = server.metrics.snapshot()
+            assert snap["counters"]["server.commits"] == 0
+            assert snap["counters"]["server.bad_frames"] == 0
+            assert status["frames_served"] == \
+                status["counters"]["server.frames_served"]
 
     def test_balancer_counters_are_registry_backed(self):
         balancer = ReadBalancer({"r1": ("127.0.0.1", 1)},

@@ -31,7 +31,7 @@ from repro.errors import (
     TransactionConflict,
 )
 from repro.io import FRAME_HEADER, encode_frame, FrameDecoder
-from repro.server import StoreClient, StoreServer
+from repro.server import ReplicaEngine, StoreClient, StoreServer
 from repro.server.protocol import (
     error_payload,
     ok_response,
@@ -228,48 +228,55 @@ class TestServerOps:
     def test_ping(self, client):
         assert client.ping() is True
 
-    def test_begin_stage_commit_read(self, client):
+    def test_commit_read(self, client):
         row = manager_stream(10, 1)[0]
-        txn = client.begin()
-        assert txn.base.startswith("v")
-        assert txn.insert("manager", row) == 1
-        result = txn.commit()
+        head = client.status()["branches"]["main"]
+        result = client.run([{"op": "insert", "relation": "manager",
+                              "row": row}])
         assert result["branch"] == "main"
+        assert result["parent"] == head
         rows, vid = client.read_at("manager", at=result["version"])
         assert row in rows and vid == result["version"]
 
     def test_commit_rejection_carries_findings(self, client):
-        txn = client.begin()
-        txn.stage([{"op": "insert", "relation": "worksfor",
-                    "row": {"pname": 9, "dname": 8, "budget": 50,
-                            "role": 1},
-                    "propagate": False}])
         with pytest.raises(CommitRejected) as caught:
-            txn.commit()
+            client.run([{"op": "insert", "relation": "worksfor",
+                         "row": {"pname": 9, "dname": 8, "budget": 50,
+                                 "role": 1},
+                         "propagate": False}])
         assert caught.value.findings  # witness findings crossed the wire
         assert any("witnesses" in f for f in caught.value.findings)
 
-    def test_commit_consumes_the_handle(self, client):
-        txn = client.begin()
-        txn.commit()  # empty txn: no-op commit
-        with pytest.raises(StoreError, match="unknown transaction"):
-            client.commit(txn.handle)
-
-    def test_failed_stage_leaves_txn_as_it_was(self, client):
+    def test_malformed_record_fails_the_whole_commit(self, client):
+        """One bad record in a commit's ops refuses the lot: the
+        well-formed ops before it do not land either."""
         row = manager_stream(10, 2)[1]
-        txn = client.begin()
-        txn.insert("manager", row)
+        head = client.status()["branches"]["main"]
         with pytest.raises((StoreError, ProtocolError, ExtensionError)):
-            txn.stage([{"op": "insert", "relation": "manager",
-                        "row": {"pname": row["pname"]}},  # wrong schema
-                       {"op": "insert", "relation": "manager"}])
-        # the surviving buffered op still commits
-        result = txn.commit()
-        assert row in client.read("manager", at=result["version"])
+            client.run([{"op": "insert", "relation": "manager",
+                         "row": row},
+                        {"op": "insert", "relation": "manager",
+                         "row": {"pname": row["pname"]}}])  # wrong schema
+        assert client.status()["branches"]["main"] == head
+        assert row not in client.read("manager")
+        assert client.ping()
 
-    def test_stage_unknown_handle(self, client):
-        with pytest.raises(StoreError, match="unknown transaction"):
-            client.stage("t999", [])
+    def test_commit_is_one_round_trip(self, server, client):
+        """``StoreClient.run`` ships a transaction as exactly one frame,
+        and the retired handle ops are never dispatched."""
+        def counters():
+            return server.metrics.snapshot()["counters"]
+
+        before = counters()
+        client.run([{"op": "insert", "relation": "manager",
+                     "row": manager_stream(10, 3)[2]}])
+        after = counters()
+        assert after["server.frames_served"] == \
+            before["server.frames_served"] + 1
+        assert after["server.ops.commit"] == \
+            before.get("server.ops.commit", 0) + 1
+        assert "server.ops.begin" not in after
+        assert "server.ops.stage" not in after
 
     def test_read_unknown_relation_errors_cleanly(self, client):
         with pytest.raises((StoreError, ExtensionError)):
@@ -307,6 +314,35 @@ class TestServerOps:
                 c.send_message({"id": rid, "op": "ping"})
             for rid in range(5):
                 assert c.recv_message()["id"] == rid
+
+
+class TestReplicaServer:
+    def test_write_ops_answer_read_only(self, tmp_path):
+        """A replica refuses every write op with the ``read-only`` code
+        the protocol promises, and the connection keeps serving."""
+        schema, db, constraints = serving_state(6)
+        wal = str(tmp_path / "w.log")
+        engine = StoreEngine(db, constraints, wal=wal)
+        replica = ReplicaEngine(wal, from_checkpoint=False)
+        replica.catch_up()
+        insert = {"op": "insert", "relation": "manager",
+                  "row": manager_stream(6, 1)[0]}
+        with StoreServer(replica) as srv:
+            with StoreClient(*srv.address) as c:
+                for rid, request in enumerate((
+                        {"op": "commit", "ops": [insert]},
+                        {"op": "branch", "name": "dev"})):
+                    c.send_message({"id": rid, **request})
+                    response = c.recv_message()
+                    assert response["id"] == rid
+                    assert response["error"]["code"] == "read-only"
+                    assert c.ping()
+                with pytest.raises(StoreError, match="read-only"):
+                    c.run([insert])
+        assert engine.head_version().vid == \
+            replica.engine.head_version().vid
+        replica.close()
+        engine.close()
 
 
 class TestConnectionBounds:
@@ -385,14 +421,15 @@ def _fuzz_bytes(rng: random.Random, category: str,
         return encode_frame({"id": rng.randint(0, 99)})
     if category == "unknown-op":
         return encode_frame({"id": 1, "op": rng.choice(
-            ["frobnicate", "", "commit ", "READ", "delete-everything"])})
+            ["frobnicate", "", "commit ", "READ", "delete-everything",
+             "begin", "stage"])})
     if category == "bad-id":
         return encode_frame({"id": {"nested": True}, "op": "ping"})
     assert category == "bad-field-types"
     return encode_frame(rng.choice([
         {"id": 1, "op": "read", "relation": 42},
-        {"id": 2, "op": "stage", "txn": 7, "ops": []},
-        {"id": 3, "op": "stage", "txn": "t1", "ops": "not-a-list"},
+        {"id": 2, "op": "commit", "ops": "not-a-list"},
+        {"id": 3, "op": "commit", "ops": [7]},
         {"id": 4, "op": "hello", "branch": ["main"]},
         {"id": 5, "op": "branch", "name": None},
         {"id": 6, "op": "read", "relation": "dept", "at": 11},
