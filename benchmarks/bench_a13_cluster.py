@@ -137,9 +137,10 @@ def test_a13_balancer_reads(benchmark, tmp_path):
                           seed=0) as balancer:
             for _ in range(BALANCED_READS):
                 balancer.read("manager")
-            return balancer.reads
+            return balancer.metrics
 
-    reads = benchmark(fan_out)
+    counters = benchmark(fan_out).snapshot()["counters"]
+    reads = {rid: counters[f"balancer.reads.{rid}"] for rid in servers}
     assert sum(reads.values()) == BALANCED_READS
     assert all(count > 0 for count in reads.values())
     for server in servers.values():

@@ -158,11 +158,12 @@ class ServerOverloaded(StoreError):
 class DeadlineExceeded(StoreError):
     """A retried operation ran out of deadline before it succeeded.
 
-    Raised by :class:`repro.server.failover.RetryPolicy` (and the
-    queue-flush loop of :class:`~repro.server.failover.FailoverClient`)
-    with the last underlying failure chained as ``__cause__``, so the
-    caller learns both *that* time ran out and *why* each attempt
-    failed.
+    Raised by the retry loop of
+    :class:`~repro.server.failover.FailoverClient` (``run`` and the
+    queue flush) and by a hard-deadline
+    :meth:`~repro.server.replica.ReplicaEngine.catch_up`, with the last
+    underlying failure chained as ``__cause__``, so the caller learns
+    both *that* time ran out and *why* the last attempt failed.
     """
 
 

@@ -10,29 +10,35 @@ every record through the replay code path, so its version graph is
 identical to the primary's at the prefix it has consumed.
 :mod:`failover` closes the availability loop: :func:`promote` turns a
 caught-up replica into the next-epoch primary (fencing the old one via
-the WAL's epoch stamp), :class:`RetryPolicy` and
-:class:`FailoverClient` give clients backoff, heartbeats, client-side
-epoch fencing, and bounded-staleness replica reads.  :mod:`cluster`
-makes the loop autonomous: a :class:`HealthMonitor` failure detector
-(alive → suspect → dead suspicion levels over ``status`` probes), a
+the WAL's epoch stamp); :class:`FailoverClient` gives clients the one
+retry loop (backoff drawn from a :class:`RetryPolicy`), heartbeats and
+client-side epoch fencing; and :class:`ReadBalancer` fans reads out
+across replicas with staleness budgets and a graceful degradation
+ladder, whose last rung — a replica within a staleness bound — is
+also the failover client's degraded read.  :mod:`cluster` makes the
+loop autonomous: a :class:`HealthMonitor` failure detector (alive →
+suspect → dead suspicion levels over ``status`` probes) and a
 :class:`Coordinator` per replica running deterministic leader election
-(rank by durable WAL position, the epoch stamp as final arbiter), and
-a :class:`ReadBalancer` fanning reads out across replicas with
-staleness budgets and a graceful degradation ladder.  See ``README.md``
-in this directory for the wire-protocol specification, the replica
-consistency semantics, and the epoch/fencing state machine.
+(rank by durable WAL position, the epoch stamp as final arbiter).
+See ``README.md`` in this directory for the wire-protocol
+specification, the replica consistency semantics, and the
+epoch/fencing state machine.
 """
 
 from repro.server.client import StoreClient
 from repro.server.cluster import (
     Coordinator,
     HealthMonitor,
-    ReadBalancer,
     election_rank,
     engine_probe,
     wire_probe,
 )
-from repro.server.failover import FailoverClient, RetryPolicy, promote
+from repro.server.failover import (
+    FailoverClient,
+    ReadBalancer,
+    RetryPolicy,
+    promote,
+)
 from repro.server.pool import ClientPool
 from repro.server.protocol import (
     OPS,

@@ -160,12 +160,7 @@ class StoreClient:
 
     def read(self, relation: str, at: str | None = None,
              branch: str | None = None) -> list[dict]:
-        fields: dict[str, Any] = {"relation": relation}
-        if at is not None:
-            fields["at"] = at
-        if branch is not None:
-            fields["branch"] = branch
-        return self.request("read", **fields)["rows"]
+        return self.read_at(relation, at=at, branch=branch)[0]
 
     def read_at(self, relation: str, at: str | None = None,
                 branch: str | None = None) -> tuple[list[dict], str]:

@@ -1,10 +1,10 @@
-"""Self-healing cluster: failure detection, deterministic leader
-election, and replica fan-out reads.
+"""Self-healing cluster: failure detection and deterministic leader
+election.
 
 PR 8 made promotion *safe* — epoch fencing, the race-guarded
 :func:`~repro.server.failover.promote`, zero acked-commit loss — but an
 operator still had to notice the primary died and run it.  This module
-closes the loop with three cooperating pieces:
+closes the loop with two cooperating pieces:
 
 * :class:`HealthMonitor` — a seeded, clock-injected failure detector.
   Heartbeat probes ride the existing ``hello``/``status`` ops (or call
@@ -23,11 +23,10 @@ closes the loop with three cooperating pieces:
   with disjoint membership views cannot split-brain — at most one
   stamp lands, losers get :class:`~repro.errors.EpochFenced` and
   re-pin to the new epoch by simply continuing to tail the log.
-* :class:`ReadBalancer` — fan-out reads across N replicas with
-  per-replica staleness budgets.  Replicas the monitor marks suspect
-  are ejected from the rotation; when no healthy in-budget replica
-  remains the balancer degrades down a ladder — primary first, then
-  any reachable replica within ``max_staleness`` — instead of failing.
+
+Reads hold no cluster state of their own: the
+:class:`~repro.server.failover.ReadBalancer` takes the monitor as its
+suspicion source and lives beside the client that degrades through it.
 
 The election rule leans on a property the store already guarantees:
 replicas of one log apply identical prefixes, so the cursor position
@@ -41,14 +40,7 @@ import time
 from random import Random
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import (
-    CommitRejected,
-    EpochFenced,
-    ProtocolError,
-    ServerOverloaded,
-    StoreError,
-    TransactionConflict,
-)
+from repro.errors import EpochFenced, StoreError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.server.client import StoreClient
@@ -526,270 +518,3 @@ class Coordinator:
     def __repr__(self) -> str:
         return (f"Coordinator({self.replica_id}, role={self.role}, "
                 f"primary={self.primary_id})")
-
-
-# ----------------------------------------------------------------------
-# fan-out reads
-# ----------------------------------------------------------------------
-class ReadBalancer:
-    """Spread ``read``/``read_at`` across N replicas, within budgets.
-
-    Parameters
-    ----------
-    replicas:
-        ``{replica_id: (host, port)}`` — ids must match the monitor's
-        peer ids when a monitor is supplied.
-    primary:
-        The primary's address — the first fallback rung (and
-        re-targetable after a failover via :meth:`set_primary`).
-    staleness_budget:
-        Per-replica freshness bound in WAL bytes: an int applies to
-        every replica, a mapping sets per-replica budgets (missing ids
-        are unbounded), ``None`` accepts any lag.  A replica over its
-        budget leaves the rotation until it catches back up.
-    max_staleness:
-        The *hard* bound used by the last degradation rung; ``None``
-        means any reachable replica may serve it.
-    monitor:
-        Anything with ``state(peer_id) -> str`` (a
-        :class:`HealthMonitor`); replicas not reported ``alive`` are
-        ejected from the rotation.
-    seed:
-        Seeds the rotation's starting point, keeping fan-out spread
-        deterministic for tests.
-    refresh_every:
-        How many reads a cached ``behind_bytes`` measurement may
-        serve before the next read re-asks ``status`` (1 = every
-        read).
-    metrics:
-        A :class:`~repro.obs.metrics.MetricsRegistry` to count into
-        (``balancer.reads.<rid>``, ``balancer.fallbacks.*``,
-        ``balancer.ejections``); a private registry is created when
-        omitted, so the counter properties always work.
-
-    The degradation ladder, in order: healthy in-budget replicas
-    (rotation) → the primary → any reachable replica within
-    ``max_staleness``.  Only when every rung fails does the last
-    error surface.  Counters (:attr:`reads`, :attr:`fallbacks`,
-    :attr:`ejections`) expose where traffic actually went.
-    """
-
-    def __init__(self, replicas: Mapping[str, Sequence],
-                 primary: Sequence | None = None, branch: str = "main",
-                 staleness_budget: int | Mapping[str, int] | None = None,
-                 max_staleness: int | None = None,
-                 monitor: Any = None, seed: int = 0,
-                 timeout: float = 5.0, refresh_every: int = 8,
-                 metrics: MetricsRegistry | None = None):
-        self._replicas = {
-            str(rid): (str(addr[0]), int(addr[1]))
-            for rid, addr in dict(replicas).items()}
-        if not self._replicas:
-            raise StoreError("read balancer needs at least one replica")
-        self._primary = (None if primary is None
-                         else (str(primary[0]), int(primary[1])))
-        self.branch = branch
-        self.staleness_budget = staleness_budget
-        self.max_staleness = max_staleness
-        self.monitor = monitor
-        self.timeout = timeout
-        self.refresh_every = max(1, int(refresh_every))
-        self._clients: dict[str, StoreClient] = {}
-        self._behind: dict[str, int | None] = {}
-        self._reads_since_refresh: dict[str, int] = {}
-        self._cursor = Random(seed).randrange(len(self._replicas))
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._c_reads = {rid: self.metrics.counter(f"balancer.reads.{rid}")
-                         for rid in self._replicas}
-        self._c_fallbacks = {
-            kind: self.metrics.counter(f"balancer.fallbacks.{kind}")
-            for kind in ("primary", "stale")}
-        self._c_ejections = self.metrics.counter("balancer.ejections")
-
-    # -- counters (views over the registry instruments) ----------------
-    @property
-    def reads(self) -> dict[str, int]:
-        """Reads served per replica id."""
-        return {rid: c.value for rid, c in self._c_reads.items()}
-
-    @property
-    def fallbacks(self) -> dict[str, int]:
-        """Times each degradation rung (``primary``/``stale``) fired."""
-        return {kind: c.value for kind, c in self._c_fallbacks.items()}
-
-    @property
-    def ejections(self) -> int:
-        """Connections dropped after a retryable failure."""
-        return self._c_ejections.value
-
-    # -- membership ----------------------------------------------------
-    def add_replica(self, replica_id: str, address: Sequence) -> None:
-        rid = str(replica_id)
-        self._replicas[rid] = (str(address[0]), int(address[1]))
-        if rid not in self._c_reads:
-            self._c_reads[rid] = self.metrics.counter(
-                f"balancer.reads.{rid}")
-
-    def set_primary(self, address: Sequence) -> None:
-        self._primary = (str(address[0]), int(address[1]))
-
-    # -- plumbing ------------------------------------------------------
-    def _budget(self, replica_id: str) -> int | None:
-        budget = self.staleness_budget
-        if budget is None:
-            return None
-        if isinstance(budget, Mapping):
-            value = budget.get(replica_id)
-            return None if value is None else int(value)
-        return int(budget)
-
-    def _rotation(self) -> list[str]:
-        ids = sorted(self._replicas)
-        start = self._cursor % len(ids)
-        self._cursor += 1
-        return ids[start:] + ids[:start]
-
-    def _drop(self, replica_id: str) -> None:
-        client = self._clients.pop(replica_id, None)
-        if client is not None:
-            client.close()
-            self._c_ejections.inc()
-        self._behind.pop(replica_id, None)
-        self._reads_since_refresh.pop(replica_id, None)
-
-    def _client_for(self, replica_id: str) -> StoreClient:
-        client = self._clients.get(replica_id)
-        if client is not None and client.is_stale():
-            self._drop(replica_id)
-            client = None
-        if client is None:
-            host, port = self._replicas[replica_id]
-            client = StoreClient(host, port, branch=self.branch,
-                                 timeout=self.timeout)
-            self._clients[replica_id] = client
-            self._reads_since_refresh[replica_id] = self.refresh_every
-        return client
-
-    def _behind_bytes(self, replica_id: str,
-                      client: StoreClient) -> int | None:
-        """The replica's lag, re-measured every ``refresh_every``
-        reads (a fresh dial always measures)."""
-        served = self._reads_since_refresh.get(replica_id,
-                                               self.refresh_every)
-        if served >= self.refresh_every:
-            status = client.status()
-            self._behind[replica_id] = status.get("behind_bytes")
-            self._reads_since_refresh[replica_id] = 0
-        return self._behind.get(replica_id)
-
-    def _suspect(self, replica_id: str) -> bool:
-        if self.monitor is None:
-            return False
-        try:
-            return self.monitor.state(replica_id) != ALIVE
-        except StoreError:
-            return False  # not a monitored peer: trust it
-
-    # -- reads ---------------------------------------------------------
-    def read(self, relation: str, branch: str | None = None,
-             at: str | None = None) -> list[dict]:
-        rows, _ = self.read_at(relation, branch=branch, at=at)
-        return rows
-
-    def read_at(self, relation: str, branch: str | None = None,
-                at: str | None = None) -> tuple[list[dict], str]:
-        """Rows plus the version id that served them, from the first
-        rung of the degradation ladder that answers."""
-        last: BaseException | None = None
-        rotation = self._rotation()
-        # Rung 1: healthy replicas within their budgets.
-        for rid in rotation:
-            if self._suspect(rid):
-                continue
-            try:
-                client = self._client_for(rid)
-                behind = self._behind_bytes(rid, client)
-                budget = self._budget(rid)
-                if budget is not None and (behind is None
-                                           or behind > budget):
-                    continue
-                result = client.read_at(relation, at=at, branch=branch)
-            except Exception as exc:
-                if not _read_retryable(exc):
-                    raise
-                self._drop(rid)
-                last = exc
-                continue
-            self._c_reads[rid].inc()
-            self._reads_since_refresh[rid] = (
-                self._reads_since_refresh.get(rid, 0) + 1)
-            return result
-        # Rung 2: the primary.
-        if self._primary is not None:
-            try:
-                with StoreClient(*self._primary, branch=self.branch,
-                                 timeout=self.timeout) as client:
-                    result = client.read_at(relation, at=at,
-                                            branch=branch)
-                self._c_fallbacks["primary"].inc()
-                return result
-            except Exception as exc:
-                if not _read_retryable(exc):
-                    raise
-                last = exc
-        # Rung 3: any reachable replica within the hard bound,
-        # suspicion notwithstanding — stale-within-budget beats down.
-        for rid in rotation:
-            try:
-                client = self._client_for(rid)
-                status = client.status()
-                behind = status.get("behind_bytes")
-                if (self.max_staleness is not None
-                        and (behind is None
-                             or behind > self.max_staleness)):
-                    continue
-                result = client.read_at(relation, at=at, branch=branch)
-            except Exception as exc:
-                if not _read_retryable(exc):
-                    raise
-                self._drop(rid)
-                last = exc
-                continue
-            self._c_reads[rid].inc()
-            self._c_fallbacks["stale"].inc()
-            return result
-        raise last if last is not None else StoreError(
-            f"no replica within budget could serve {relation!r} and "
-            "no primary is reachable")
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        for rid in list(self._clients):
-            client = self._clients.pop(rid)
-            client.close()
-
-    def __enter__(self) -> "ReadBalancer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (f"ReadBalancer({sorted(self._replicas)}, "
-                f"reads={self.reads}, fallbacks={self.fallbacks})")
-
-
-def _read_retryable(exc: BaseException) -> bool:
-    """Whether another peer might answer a read that failed with
-    ``exc`` — transport trouble yes, semantic errors (a rejected
-    commit crossing the bridge, a malformed request) no.  A plain
-    ``StoreError`` stays retryable: a lagging replica reports exactly
-    that for a version it has not applied yet, and a fresher peer can
-    genuinely answer it."""
-    if isinstance(exc, EpochFenced):
-        return True  # a demoted peer: another rung will answer
-    if isinstance(exc, (CommitRejected, TransactionConflict)):
-        return False
-    return isinstance(exc,
-                      (OSError, ProtocolError, ServerOverloaded,
-                       StoreError))

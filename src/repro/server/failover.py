@@ -11,16 +11,20 @@ the WAL, replicas can only follow it.  This module completes the loop:
   instead of silently forking history (the Alexandrov reading from
   PAPERS.md — the epoch is an explicit dimension of the version graph,
   not an ambient assumption).
-* :class:`RetryPolicy` is the reusable retry loop: exponential backoff
-  with *decorrelated jitter*, per-operation deadlines, and a typed
-  retryable-vs-fatal classification (transport and capacity errors
-  heal with time; semantic errors — a rejected commit stays rejected —
-  never do).
+* :class:`RetryPolicy` classifies failures as retryable or fatal
+  (transport and capacity errors heal with time; semantic errors — a
+  rejected commit stays rejected — never do) and draws backoff delays
+  with *decorrelated jitter*.  It runs no loop of its own.
+* :class:`ReadBalancer` fans reads out across replicas within
+  staleness budgets and degrades down one ladder — healthy in-budget
+  replicas, then the primary, then any replica within
+  ``max_staleness`` — instead of failing.
 * :class:`FailoverClient` drives a fleet of addresses through a
   kill-and-promote event: it tracks the highest epoch it has seen and
-  refuses stale primaries (client-side fencing), queues writes until
-  promotion completes or the deadline lapses, and lets reads degrade
-  to a replica within a bounded staleness budget.
+  refuses stale primaries (client-side fencing), runs the one
+  backoff-and-deadline retry loop, queues writes until promotion
+  completes or the deadline lapses, and degrades reads through the
+  balancer's last rung to a replica within a bounded staleness budget.
 
 What promotion does — and does not — guarantee: every record durably
 in the log at promotion time is in the promoted graph (the
@@ -35,20 +39,26 @@ from __future__ import annotations
 
 import time
 from random import Random
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import (
+    CommitRejected,
     DeadlineExceeded,
     EpochFenced,
     ProtocolError,
+    ReproError,
     ServerOverloaded,
     StoreError,
+    TransactionConflict,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.server.client import StoreClient
+from repro.server.protocol import SUSPICION_STATES
 from repro.server.replica import ReplicaEngine
 from repro.store.engine import StoreEngine
 from repro.store.wal import WriteAheadLog
+
+ALIVE = SUSPICION_STATES[0]
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +135,9 @@ def promote(replica: ReplicaEngine, timeout: float = 5.0,
 # retry policy
 # ----------------------------------------------------------------------
 class RetryPolicy:
-    """Exponential backoff with decorrelated jitter plus a typed
-    retryable-vs-fatal classification.
+    """Backoff delays with decorrelated jitter plus a typed
+    retryable-vs-fatal classification — the policy
+    :class:`FailoverClient`'s retry loop consults.
 
     Retryable (heal with time): ``OSError`` (covers ``ConnectionError``
     and socket timeouts), :class:`ProtocolError` (torn streams, lost
@@ -143,40 +154,23 @@ class RetryPolicy:
     ``max_delay`` — retries spread out instead of synchronising into
     thundering herds.  Pass ``seed`` to make the sequence
     deterministic (the chaos suite does).
-
-    ``deadline`` bounds one :meth:`call` end to end: when the next
-    sleep would overrun it, :class:`DeadlineExceeded` is raised with
-    the last underlying failure chained as ``__cause__``.
     """
 
     RETRYABLE: tuple[type[BaseException], ...] = (
         OSError, ProtocolError, ServerOverloaded)
 
-    def __init__(self, max_attempts: int = 6,
-                 base_delay: float = 0.005, max_delay: float = 1.0,
-                 deadline: float | None = None,
-                 seed: int | None = None,
-                 retryable: tuple[type[BaseException], ...] | None = None,
-                 metrics: MetricsRegistry | None = None):
-        if max_attempts < 1:
-            raise StoreError(
-                f"max_attempts must be >= 1, got {max_attempts}")
-        self.max_attempts = max_attempts
+    def __init__(self, base_delay: float = 0.005, max_delay: float = 1.0,
+                 seed: int | None = None):
         self.base_delay = base_delay
         self.max_delay = max_delay
-        self.deadline = deadline
         self.seed = seed
-        self.retryable_types = (self.RETRYABLE if retryable is None
-                                else tuple(retryable))
         self._rng = Random(seed)
-        self._c_retries = (None if metrics is None
-                           else metrics.counter("retry.retries"))
 
     def retryable(self, exc: BaseException) -> bool:
         """Whether waiting and retrying can plausibly fix ``exc``."""
         if isinstance(exc, EpochFenced):
             return False  # same peer + stale epoch never heals
-        return isinstance(exc, self.retryable_types)
+        return isinstance(exc, self.RETRYABLE)
 
     def next_delay(self, previous: float | None = None) -> float:
         """The next sleep: uniform over ``[base, 3*previous]``, capped."""
@@ -188,43 +182,278 @@ class RetryPolicy:
     def sleep(self, delay: float) -> None:  # overridable in tests
         time.sleep(delay)
 
-    def call(self, fn: Callable[..., Any], *args: Any,
-             deadline: float | None = None, **kwargs: Any) -> Any:
-        """Run ``fn`` under the policy: retry retryable failures with
-        backoff, re-raise fatal ones immediately, raise
-        :class:`DeadlineExceeded` (last failure chained) when the
-        deadline would lapse, and re-raise the last failure when
-        attempts run out."""
-        deadline = self.deadline if deadline is None else deadline
-        deadline_at = (time.monotonic() + deadline
-                       if deadline is not None else None)
-        delay: float | None = None
+    def __repr__(self) -> str:
+        return (f"RetryPolicy(base_delay={self.base_delay}, "
+                f"max_delay={self.max_delay}, seed={self.seed})")
+
+
+# ----------------------------------------------------------------------
+# fan-out reads
+# ----------------------------------------------------------------------
+class ReadBalancer:
+    """Spread ``read``/``read_at`` across N replicas, within budgets.
+
+    Parameters
+    ----------
+    replicas:
+        ``{replica_id: (host, port)}`` — ids must match the monitor's
+        peer ids when a monitor is supplied.
+    primary:
+        The primary's address — the first fallback rung (and
+        re-targetable after a failover via :meth:`set_primary`).
+    staleness_budget:
+        Per-replica freshness bound in WAL bytes: an int applies to
+        every replica, a mapping sets per-replica budgets (missing ids
+        are unbounded), ``None`` accepts any lag.  A replica over its
+        budget leaves the rotation until it catches back up.
+    max_staleness:
+        The *hard* bound used by the last degradation rung; ``None``
+        means any reachable replica may serve it.
+    monitor:
+        Anything with ``state(peer_id) -> str`` (a
+        :class:`~repro.server.cluster.HealthMonitor`); replicas not
+        reported ``alive`` are ejected from the rotation.
+    seed:
+        Seeds the rotation's starting point, keeping fan-out spread
+        deterministic for tests.
+    refresh_every:
+        How many reads a cached ``behind_bytes`` measurement may
+        serve before the next read re-asks ``status`` (1 = every
+        read).
+    metrics:
+        A :class:`~repro.obs.metrics.MetricsRegistry` to count into
+        (``balancer.reads.<rid>``, ``balancer.fallbacks.*``,
+        ``balancer.ejections``); a private registry is created when
+        omitted.  These counters show where traffic actually went.
+
+    The degradation ladder, in order: healthy in-budget replicas
+    (rotation) → the primary → any reachable replica within
+    ``max_staleness``.  Only when every rung fails does the last
+    error surface.  :class:`FailoverClient` degrades through the same
+    last rung when its primary is gone.
+    """
+
+    def __init__(self, replicas: Mapping[str, Sequence],
+                 primary: Sequence | None = None, branch: str = "main",
+                 staleness_budget: int | Mapping[str, int] | None = None,
+                 max_staleness: int | None = None,
+                 monitor: Any = None, seed: int = 0,
+                 timeout: float = 5.0, refresh_every: int = 8,
+                 metrics: MetricsRegistry | None = None):
+        self._replicas = {
+            str(rid): (str(addr[0]), int(addr[1]))
+            for rid, addr in dict(replicas).items()}
+        if not self._replicas:
+            raise StoreError("read balancer needs at least one replica")
+        self._primary = (None if primary is None
+                         else (str(primary[0]), int(primary[1])))
+        self.branch = branch
+        self.staleness_budget = staleness_budget
+        self.max_staleness = max_staleness
+        self.monitor = monitor
+        self.timeout = timeout
+        self.refresh_every = max(1, int(refresh_every))
+        self._clients: dict[str, StoreClient] = {}
+        self._behind: dict[str, int | None] = {}
+        self._reads_since_refresh: dict[str, int] = {}
+        self._cursor = Random(seed).randrange(len(self._replicas))
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._c_reads = {rid: self.metrics.counter(f"balancer.reads.{rid}")
+                         for rid in self._replicas}
+        self._c_fallbacks = {
+            kind: self.metrics.counter(f"balancer.fallbacks.{kind}")
+            for kind in ("primary", "stale")}
+        self._c_ejections = self.metrics.counter("balancer.ejections")
+
+    # -- membership ----------------------------------------------------
+    def add_replica(self, replica_id: str, address: Sequence) -> None:
+        rid = str(replica_id)
+        self._replicas[rid] = (str(address[0]), int(address[1]))
+        if rid not in self._c_reads:
+            self._c_reads[rid] = self.metrics.counter(
+                f"balancer.reads.{rid}")
+
+    def set_primary(self, address: Sequence) -> None:
+        self._primary = (str(address[0]), int(address[1]))
+
+    # -- plumbing ------------------------------------------------------
+    def _budget(self, replica_id: str) -> int | None:
+        budget = self.staleness_budget
+        if budget is None:
+            return None
+        if isinstance(budget, Mapping):
+            value = budget.get(replica_id)
+            return None if value is None else int(value)
+        return int(budget)
+
+    def _rotation(self) -> list[str]:
+        ids = sorted(self._replicas)
+        start = self._cursor % len(ids)
+        self._cursor += 1
+        return ids[start:] + ids[:start]
+
+    def _drop(self, replica_id: str) -> None:
+        client = self._clients.pop(replica_id, None)
+        if client is not None:
+            client.close()
+            self._c_ejections.inc()
+        self._behind.pop(replica_id, None)
+        self._reads_since_refresh.pop(replica_id, None)
+
+    def _client_for(self, replica_id: str) -> StoreClient:
+        client = self._clients.get(replica_id)
+        if client is not None and client.is_stale():
+            self._drop(replica_id)
+            client = None
+        if client is None:
+            host, port = self._replicas[replica_id]
+            client = StoreClient(host, port, branch=self.branch,
+                                 timeout=self.timeout)
+            self._clients[replica_id] = client
+            self._reads_since_refresh[replica_id] = self.refresh_every
+        return client
+
+    def _behind_bytes(self, replica_id: str,
+                      client: StoreClient) -> int | None:
+        """The replica's lag, re-measured every ``refresh_every``
+        reads (a fresh dial always measures)."""
+        served = self._reads_since_refresh.get(replica_id,
+                                               self.refresh_every)
+        if served >= self.refresh_every:
+            status = client.status()
+            self._behind[replica_id] = status.get("behind_bytes")
+            self._reads_since_refresh[replica_id] = 0
+        return self._behind.get(replica_id)
+
+    def _suspect(self, replica_id: str) -> bool:
+        if self.monitor is None:
+            return False
+        try:
+            return self.monitor.state(replica_id) != ALIVE
+        except StoreError:
+            return False  # not a monitored peer: trust it
+
+    # -- reads ---------------------------------------------------------
+    def read(self, relation: str, branch: str | None = None,
+             at: str | None = None) -> list[dict]:
+        rows, _ = self.read_at(relation, branch=branch, at=at)
+        return rows
+
+    def read_at(self, relation: str, branch: str | None = None,
+                at: str | None = None) -> tuple[list[dict], str]:
+        """Rows plus the version id that served them, from the first
+        rung of the degradation ladder that answers."""
         last: BaseException | None = None
-        for attempt in range(1, self.max_attempts + 1):
+        rotation = self._rotation()
+        # Rung 1: healthy replicas within their budgets.
+        for rid in rotation:
+            if self._suspect(rid):
+                continue
             try:
-                return fn(*args, **kwargs)
+                client = self._client_for(rid)
+                behind = self._behind_bytes(rid, client)
+                budget = self._budget(rid)
+                if budget is not None and (behind is None
+                                           or behind > budget):
+                    continue
+                result = client.read_at(relation, at=at, branch=branch)
             except Exception as exc:
-                if not self.retryable(exc):
+                if not _read_retryable(exc):
+                    raise
+                self._drop(rid)
+                last = exc
+                continue
+            self._c_reads[rid].inc()
+            self._reads_since_refresh[rid] = (
+                self._reads_since_refresh.get(rid, 0) + 1)
+            return result
+        # Rung 2: the primary.
+        if self._primary is not None:
+            try:
+                with StoreClient(*self._primary, branch=self.branch,
+                                 timeout=self.timeout) as client:
+                    result = client.read_at(relation, at=at,
+                                            branch=branch)
+                self._c_fallbacks["primary"].inc()
+                return result
+            except Exception as exc:
+                if not _read_retryable(exc):
                     raise
                 last = exc
-            if attempt == self.max_attempts:
-                break
-            delay = self.next_delay(delay)
-            if (deadline_at is not None
-                    and time.monotonic() + delay > deadline_at):
-                raise DeadlineExceeded(
-                    f"{deadline}s deadline lapsed after {attempt} "
-                    f"attempt(s); last failure: {last}") from last
-            if self._c_retries is not None:
-                self._c_retries.inc()
-            self.sleep(delay)
-        raise last
+        # Rung 3: a stale-within-bound replica.
+        result = self._read_stale(relation, branch, at, rotation)
+        if result is not None:
+            return result
+        raise last if last is not None else StoreError(
+            f"no replica within budget could serve {relation!r} and "
+            "no primary is reachable")
+
+    def _read_stale(self, relation: str, branch: str | None,
+                    at: str | None, rotation: list[str]
+                    ) -> tuple[list[dict], str] | None:
+        """The last rung: the first peer in ``rotation`` that answers
+        ``hello`` as a replica and lags at most ``max_staleness``
+        bytes, suspicion notwithstanding — stale-within-budget beats
+        down.  ``None`` when no peer qualified; raises the last
+        retryable failure when one was seen."""
+        last: BaseException | None = None
+        for rid in rotation:
+            try:
+                client = self._client_for(rid)
+                if client.role != "replica":
+                    continue  # never a degraded read from a primary
+                behind = client.status().get("behind_bytes")
+                if (self.max_staleness is not None
+                        and (behind is None
+                             or behind > self.max_staleness)):
+                    continue
+                result = client.read_at(relation, at=at, branch=branch)
+            except Exception as exc:
+                if not _read_retryable(exc):
+                    raise
+                self._drop(rid)
+                last = exc
+                continue
+            self._c_reads[rid].inc()
+            self._c_fallbacks["stale"].inc()
+            return result
+        if last is not None:
+            raise last
+        return None
+
+    # -- lifecycle -----------------------------------------------------
+    def close(self) -> None:
+        for rid in list(self._clients):
+            client = self._clients.pop(rid)
+            client.close()
+
+    def __enter__(self) -> "ReadBalancer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __repr__(self) -> str:
-        return (f"RetryPolicy(max_attempts={self.max_attempts}, "
-                f"base_delay={self.base_delay}, "
-                f"max_delay={self.max_delay}, "
-                f"deadline={self.deadline}, seed={self.seed})")
+        counters = {name: value for name, value
+                    in self.metrics.snapshot()["counters"].items()
+                    if name.startswith("balancer.")}
+        return f"ReadBalancer({sorted(self._replicas)}, {counters})"
+
+
+def _read_retryable(exc: BaseException) -> bool:
+    """Whether another peer might answer a read that failed with
+    ``exc`` — transport trouble yes, semantic errors (a rejected
+    commit crossing the bridge, a malformed request) no.  A plain
+    ``StoreError`` stays retryable: a lagging replica reports exactly
+    that for a version it has not applied yet, and a fresher peer can
+    genuinely answer it."""
+    if isinstance(exc, EpochFenced):
+        return True  # a demoted peer: another rung will answer
+    if isinstance(exc, (CommitRejected, TransactionConflict)):
+        return False
+    return isinstance(exc,
+                      (OSError, ProtocolError, ServerOverloaded,
+                       StoreError))
 
 
 # ----------------------------------------------------------------------
@@ -254,11 +483,12 @@ class FailoverClient:
     so the retry is safe.
 
     Read path: :meth:`read` prefers the primary; when no primary is
-    reachable it degrades to any replica whose reported
-    ``behind_bytes`` is within ``staleness_budget`` (``None`` budget
-    = any replica).  Heartbeats (:meth:`heartbeat`) and the pooled
-    :meth:`StoreClient.is_stale` peek detect dead peers between
-    operations without a round trip.
+    reachable it degrades through the last rung of a
+    :class:`ReadBalancer` over the candidates — any replica whose
+    reported ``behind_bytes`` is within ``staleness_budget`` (``None``
+    budget = any replica), counted in ``balancer.*``.  Heartbeats
+    (:meth:`heartbeat`) and the pooled :meth:`StoreClient.is_stale`
+    peek detect dead peers between operations without a round trip.
     """
 
     def __init__(self, addresses: Iterable[Sequence],
@@ -275,7 +505,6 @@ class FailoverClient:
         self.branch = branch
         self.policy = policy or RetryPolicy()
         self.deadline = deadline
-        self.staleness_budget = staleness_budget
         self.timeout = timeout
         self.epoch = 0  # highest epoch witnessed; the client-side fence
         self._client: StoreClient | None = None
@@ -284,8 +513,11 @@ class FailoverClient:
         self._c_reconnects = self.metrics.counter("failover.reconnects")
         self._c_fenced = self.metrics.counter("failover.fenced")
         self._c_retries = self.metrics.counter("failover.retries")
-        self._c_replica_reads = self.metrics.counter(
-            "failover.replica_reads")
+        self._balancer = ReadBalancer(
+            {f"{host}:{port}": (host, port)
+             for host, port in self.addresses},
+            branch=branch, max_staleness=staleness_budget,
+            timeout=timeout, metrics=self.metrics)
 
     # -- membership ----------------------------------------------------
     def add_address(self, address: Sequence) -> None:
@@ -294,6 +526,7 @@ class FailoverClient:
         addr = (str(address[0]), int(address[1]))
         if addr not in self.addresses:
             self.addresses.append(addr)
+            self._balancer.add_replica(f"{addr[0]}:{addr[1]}", addr)
 
     # -- connection management ----------------------------------------
     def _drop_client(self) -> None:
@@ -428,57 +661,33 @@ class FailoverClient:
     def read(self, relation: str, branch: str | None = None) -> list[dict]:
         """Rows from the primary; degrades to a replica within the
         staleness budget when no primary is reachable."""
+        client = None
         try:
             client = self._primary()
-        except Exception:
-            # No reachable primary at all: a replica read is the
-            # designed degradation for exactly this state.
-            self._drop_client()
-            rows = self._read_from_replica(relation, branch)
-            if rows is None:
-                raise
-            return rows
-        try:
             return client.read(relation, branch=branch)
         except Exception as exc:
-            if not (self.policy.retryable(exc)
+            # A failed resolution (no reachable primary at all) always
+            # degrades; a failed read only when another peer could
+            # answer — a semantic failure (unknown relation) could not.
+            if client is not None and not (
+                    self.policy.retryable(exc)
                     or isinstance(exc, EpochFenced)):
-                raise  # semantic failure (unknown relation): no replica
-                # read can answer differently
-            self._drop_client()
-            rows = self._read_from_replica(relation, branch)
-            if rows is None:
                 raise
-            return rows
-
-    def _read_from_replica(self, relation: str,
-                           branch: str | None) -> list[dict] | None:
-        for addr in self.addresses:
-            client = None
-            try:
-                client = StoreClient(*addr, branch=self.branch,
-                                     timeout=self.timeout)
-                if client.role != "replica":
-                    continue
-                status = client.status()
-                behind = status.get("behind_bytes")
-                if (self.staleness_budget is not None
-                        and (behind is None
-                             or behind > self.staleness_budget)):
-                    continue
-                rows = client.read(relation, branch=branch)
-                self._c_replica_reads.inc()
-                return rows
-            except Exception:
-                continue
-            finally:
-                if client is not None:
-                    client.close()
-        return None
+            failure = exc
+        self._drop_client()
+        try:
+            served = self._balancer._read_stale(
+                relation, branch, None, self._balancer._rotation())
+        except (OSError, ReproError):
+            served = None  # the primary-side failure is the one to report
+        if served is None:
+            raise failure
+        return served[0]
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         self._drop_client()
+        self._balancer.close()
 
     def __enter__(self) -> "FailoverClient":
         return self

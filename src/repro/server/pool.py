@@ -41,11 +41,6 @@ class ClientPool:
         self._c_dials = self.metrics.counter("pool.dials")
         self._c_discards = self.metrics.counter("pool.discards")
 
-    @property
-    def evicted(self) -> int:
-        """Stale idle connections quietly replaced so far."""
-        return self._c_evicted.value
-
     def _dial(self) -> StoreClient:
         client = StoreClient(self.host, self.port, branch=self.branch,
                              timeout=self.timeout)

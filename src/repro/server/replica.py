@@ -218,9 +218,9 @@ class ReplicaEngine:
         an injected fault) are retried inside the budget instead of
         aborting the catch-up, and when the budget lapses while still
         behind, :class:`~repro.errors.DeadlineExceeded` is raised with
-        the last transient failure chained as ``__cause__`` — exactly
-        the :meth:`RetryPolicy.call <repro.server.failover.RetryPolicy
-        .call>` contract, so supervision loops polling a dead or torn
+        the last transient failure chained as ``__cause__`` — the
+        contract of :class:`~repro.server.failover.FailoverClient`'s
+        retry loop, so supervision loops polling a dead or torn
         primary fail loudly and boundedly instead of backing off past
         any bound and returning as if nothing were wrong.
         """

@@ -479,6 +479,10 @@ class _StubMonitor:
         return self.states.get(peer_id, "alive")
 
 
+def _counters(balancer):
+    return balancer.metrics.snapshot()["counters"]
+
+
 class TestReadBalancer:
     def test_requires_a_replica(self):
         with pytest.raises(StoreError, match="at least one replica"):
@@ -502,9 +506,11 @@ class TestReadBalancer:
                 for _ in range(8):
                     head = balancer.read("manager")
                     assert rows[0] in head and rows[1] in head
-                assert balancer.reads["r1"] == 4
-                assert balancer.reads["r2"] == 4
-                assert balancer.fallbacks == {"primary": 0, "stale": 0}
+                counters = _counters(balancer)
+                assert counters["balancer.reads.r1"] == 4
+                assert counters["balancer.reads.r2"] == 4
+                assert counters["balancer.fallbacks.primary"] == 0
+                assert counters["balancer.fallbacks.stale"] == 0
         finally:
             for server in servers.values():
                 server.stop()
@@ -527,7 +533,9 @@ class TestReadBalancer:
                               monitor=monitor, seed=0) as balancer:
                 for _ in range(4):
                     balancer.read("manager")
-                assert balancer.reads == {"r1": 0, "r2": 4}
+                counters = _counters(balancer)
+                assert counters["balancer.reads.r1"] == 0
+                assert counters["balancer.reads.r2"] == 4
         finally:
             for server in servers.values():
                 server.stop()
@@ -556,7 +564,9 @@ class TestReadBalancer:
                 for _ in range(4):
                     head = balancer.read("manager")
                     assert rows[2] in head  # never a stale answer
-                assert balancer.reads == {"fresh": 4, "stale": 0}
+                counters = _counters(balancer)
+                assert counters["balancer.reads.fresh"] == 4
+                assert counters["balancer.reads.stale"] == 0
         finally:
             for server in servers.values():
                 server.stop()
@@ -572,7 +582,8 @@ class TestReadBalancer:
                               primary=server.address,
                               timeout=0.5, seed=0) as balancer:
                 assert rows[0] in balancer.read("manager")
-                assert balancer.fallbacks["primary"] == 1
+                assert _counters(balancer)[
+                    "balancer.fallbacks.primary"] == 1
         primary.close()
 
     def test_degrades_to_a_stale_replica_last(self, tmp_path):
@@ -594,7 +605,7 @@ class TestReadBalancer:
                               timeout=0.5, seed=0) as balancer:
                 head = balancer.read("manager")
                 assert rows[0] in head and rows[1] not in head
-                assert balancer.fallbacks["stale"] == 1
+                assert _counters(balancer)["balancer.fallbacks.stale"] == 1
 
     def test_raises_when_no_rung_answers(self):
         with ReadBalancer({"r1": ("127.0.0.1", 1)},

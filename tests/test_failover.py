@@ -195,28 +195,19 @@ class TestPromotion:
 # ----------------------------------------------------------------------
 # retry policy
 # ----------------------------------------------------------------------
-class _Flaky:
-    """Fails ``failures`` times with ``exc_type``, then returns 42."""
-
-    def __init__(self, failures, exc_type=OSError):
-        self.failures = failures
-        self.exc_type = exc_type
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise self.exc_type(f"failure {self.calls}")
-        return 42
-
-
 class _NoSleep(RetryPolicy):
+    """Records each backoff instead of sleeping; ``on_sleep`` runs
+    after each one (a test's hook for healing the cluster)."""
+
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.slept = []
+        self.on_sleep = None
 
     def sleep(self, delay):
         self.slept.append(delay)
+        if self.on_sleep is not None:
+            self.on_sleep()
 
 
 class TestRetryPolicy:
@@ -240,47 +231,67 @@ class TestRetryPolicy:
             assert 0.01 <= prev_a <= 0.5
 
     def test_retries_until_success(self):
-        fn = _Flaky(failures=3)
-        policy = _NoSleep(max_attempts=6, seed=0)
-        assert policy.call(fn) == 42
-        assert fn.calls == 4 and len(policy.slept) == 3
-
-    def test_fatal_error_raises_immediately(self):
-        fn = _Flaky(failures=5, exc_type=ValueError)
-        policy = _NoSleep(max_attempts=6, seed=0)
-        with pytest.raises(ValueError):
-            policy.call(fn)
-        assert fn.calls == 1 and policy.slept == []
-
-    def test_attempts_exhausted_reraises_the_last_failure(self):
-        fn = _Flaky(failures=99)
-        policy = _NoSleep(max_attempts=3, seed=0)
-        with pytest.raises(OSError, match="failure 3"):
-            policy.call(fn)
-        assert fn.calls == 3
+        """FailoverClient's loop backs off along the policy's own
+        seeded sequence, once per failure, until a primary answers."""
+        engine = _mk_engine()
+        row = manager_stream(30, 1)[0]
+        policy = _NoSleep(seed=0, base_delay=0.01, max_delay=0.5)
+        with StoreServer(engine) as server:
+            with FailoverClient([("127.0.0.1", 1)], policy=policy,
+                                timeout=0.5) as fc:
+                def heal():
+                    if len(policy.slept) == 3:
+                        fc.add_address(server.address)
+                policy.on_sleep = heal
+                assert fc.run([{"op": "insert", "relation": "manager",
+                                "row": row}])["version"]
+                counters = fc.metrics.snapshot()["counters"]
+                assert counters["failover.retries"] == 3
+        reference = RetryPolicy(seed=0, base_delay=0.01, max_delay=0.5)
+        expected, delay = [], None
+        for _ in range(3):
+            delay = reference.next_delay(delay)
+            expected.append(delay)
+        assert policy.slept == expected
+        engine.close()
 
     def test_deadline_exceeded_chains_the_last_failure(self):
-        fn = _Flaky(failures=99)
-        policy = RetryPolicy(max_attempts=10, base_delay=5.0,
-                             max_delay=5.0, seed=0)
+        """A backoff that would overrun the deadline is never slept:
+        the loop raises at once, chained to the failure behind it."""
+        fc = FailoverClient([("127.0.0.1", 1)],  # nothing listens here
+                            policy=RetryPolicy(base_delay=5.0,
+                                               max_delay=5.0, seed=0),
+                            timeout=0.2)
         start = time.monotonic()
         with pytest.raises(DeadlineExceeded) as caught:
-            policy.call(fn, deadline=0.05)
+            fc.run([{"op": "insert", "relation": "manager",
+                     "row": manager_stream(30, 1)[0]}], deadline=0.05)
         assert time.monotonic() - start < 1.0  # never slept 5 s
         assert isinstance(caught.value.__cause__, OSError)
-        assert fn.calls == 1
+        assert fc.metrics.snapshot()["counters"]["failover.retries"] == 0
+        fc.close()
 
     def test_epoch_fenced_is_fatal_to_the_bare_policy(self):
-        fn = _Flaky(failures=1, exc_type=lambda m: EpochFenced(
-            m, held=0, current=1))
-        policy = _NoSleep(max_attempts=6, seed=0)
-        with pytest.raises(EpochFenced):
-            policy.call(fn)
-        assert fn.calls == 1
-
-    def test_rejects_zero_attempts(self):
-        with pytest.raises(StoreError):
-            RetryPolicy(max_attempts=0)
+        """The bare policy never retries a fence; FailoverClient
+        re-resolves past each one until its deadline, counting them."""
+        policy = RetryPolicy(seed=0, base_delay=0.01, max_delay=0.05)
+        assert not policy.retryable(EpochFenced("x", held=0, current=1))
+        engine = _mk_engine()
+        with StoreServer(engine) as server:  # serves epoch 0
+            with FailoverClient([server.address], policy=policy,
+                                timeout=0.5) as fc:
+                fc.epoch = 1  # the client has seen a promotion
+                with pytest.raises(DeadlineExceeded) as caught:
+                    fc.run([{"op": "insert", "relation": "manager",
+                             "row": manager_stream(30, 1)[0]}],
+                           deadline=0.3)
+                assert isinstance(caught.value.__cause__, EpochFenced)
+                counters = fc.metrics.snapshot()["counters"]
+                assert counters["failover.retries"] >= 1
+                assert (counters["failover.fenced"]
+                        == counters["failover.retries"] + 1)
+                assert fc.epoch == 1
+        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +391,7 @@ class TestPoolEviction:
         try:
             with pool.acquire() as client:
                 assert client.ping()  # fresh dial, not the corpse
-            assert pool.evicted == 1
+            assert pool.metrics.snapshot()["counters"]["pool.evicted"] == 1
         finally:
             pool.close()
             server2.stop()
@@ -462,9 +473,10 @@ class TestPoolUnderChurn:
             guard = threading.Thread(target=drain)
             guard.start()
             guard.join(timeout=10)
+            evicted = pool.metrics.snapshot()["counters"]["pool.evicted"]
             assert not guard.is_alive(), (
                 f"pool leaked a slot under churn: seed={seed} "
-                f"evicted={pool.evicted}")
+                f"evicted={evicted}")
             pool.close()
             stable.stop()
             engine.close()
@@ -532,7 +544,71 @@ class TestFailoverClient:
             assert rows[0] in fc.read("manager")  # via the primary
             primary.stop()
             assert rows[0] in fc.read("manager")  # via the replica
+            counters = fc.metrics.snapshot()["counters"]
+            assert counters["balancer.fallbacks.stale"] == 1
             fc.close()
+        engine.close()
+
+    def test_degraded_read_holds_the_staleness_budget(self, tmp_path):
+        """Primary dead, the only replica lagging: a zero budget
+        refuses the stale answer, an unbounded one serves it."""
+        wal = tmp_path / "w.jsonl"
+        engine = _mk_engine(wal=wal)
+        rows = manager_stream(30, 2)
+        _commit_rows(engine, rows[:1])
+        replica = ReplicaEngine(wal)
+        replica.sync()
+        _commit_rows(engine, rows[1:])  # the replica never sees this
+        engine.close()
+        with StoreServer(replica, sync_interval=0) as mirror:
+            addresses = [("127.0.0.1", 1), mirror.address]  # dead, stale
+            with FailoverClient(addresses, staleness_budget=0,
+                                timeout=0.5) as fc:
+                with pytest.raises(StoreError):
+                    fc.read("manager")
+            with FailoverClient(addresses, staleness_budget=None,
+                                timeout=0.5) as fc:
+                head = fc.read("manager")
+        assert rows[0] in head and rows[1] not in head
+
+    def test_degraded_read_never_lands_on_a_primary(self):
+        engine = _mk_engine()
+        _commit_rows(engine, manager_stream(30, 1))
+        with StoreServer(engine) as server:
+            with FailoverClient([server.address], timeout=0.5) as fc:
+                fc.epoch = 1  # resolution now fences the live primary
+                with pytest.raises(EpochFenced):
+                    fc.read("manager")
+                counters = fc.metrics.snapshot()["counters"]
+                assert counters["balancer.fallbacks.stale"] == 0
+        engine.close()
+
+    def test_rejected_commit_surfaces_on_the_first_attempt(self):
+        engine = _mk_engine()
+        policy = _NoSleep(seed=0)
+        with StoreServer(engine) as server:
+            with FailoverClient([server.address], policy=policy) as fc:
+                with pytest.raises(CommitRejected):
+                    fc.run([{"op": "insert", "relation": "worksfor",
+                             "row": {"pname": 9, "dname": 8,
+                                     "budget": 50, "role": 1},
+                             "propagate": False}])
+        assert policy.slept == []
+        engine.close()
+
+    def test_retries_until_a_primary_appears(self):
+        """The first backoff lists a live primary; the retry lands."""
+        engine = _mk_engine()
+        row = manager_stream(30, 1)[0]
+        policy = _NoSleep(seed=0)
+        with StoreServer(engine) as server:
+            with FailoverClient([("127.0.0.1", 1)], policy=policy,
+                                timeout=0.5) as fc:
+                policy.on_sleep = lambda: fc.add_address(server.address)
+                assert fc.run([{"op": "insert", "relation": "manager",
+                                "row": row}])["version"]
+                assert row in fc.read("manager")
+        assert len(policy.slept) == 1
         engine.close()
 
     def test_write_deadline_lapses_with_cause_when_no_primary(self):

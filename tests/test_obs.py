@@ -460,7 +460,7 @@ class TestMetricsOverTheWire:
 
 
 # ----------------------------------------------------------------------
-# thin views over the registry
+# component counters live only in the registry
 # ----------------------------------------------------------------------
 class TestThinViews:
     def test_server_counters_live_in_the_registry(self):
@@ -481,14 +481,14 @@ class TestThinViews:
     def test_balancer_counters_are_registry_backed(self):
         balancer = ReadBalancer({"r1": ("127.0.0.1", 1)},
                                 seed=3)
-        assert balancer.reads == {"r1": 0}
-        assert balancer.fallbacks == {"primary": 0, "stale": 0}
-        assert balancer.ejections == 0
         balancer.add_replica("r2", ("127.0.0.1", 2))
-        assert balancer.reads == {"r1": 0, "r2": 0}
         snap = balancer.metrics.snapshot()["counters"]
-        assert snap["balancer.reads.r2"] == 0
-        assert snap["balancer.ejections"] == 0
+        assert snap == {"balancer.ejections": 0,
+                        "balancer.fallbacks.primary": 0,
+                        "balancer.fallbacks.stale": 0,
+                        "balancer.reads.r1": 0,
+                        "balancer.reads.r2": 0}
+        assert "balancer.reads.r2" in repr(balancer)
         balancer.close()
 
     def test_pool_eviction_counter_is_registry_backed(self):
@@ -497,7 +497,6 @@ class TestThinViews:
             with ClientPool(*server.address, size=1) as pool:
                 with pool.acquire() as client:
                     assert client.ping()
-                assert pool.evicted == 0
                 snap = pool.metrics.snapshot()["counters"]
                 assert snap["pool.dials"] == 1
                 assert snap["pool.evicted"] == 0
