@@ -181,8 +181,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     wal = args.wal
     if wal is not None and args.segment_records is not None:
         wal = WriteAheadLog(wal, segment_records=args.segment_records)
-    engine = StoreEngine(db, constraints, validation=args.mode,
-                         wal=wal, checkpoint_every=args.checkpoint_every)
+    engine = StoreEngine(db, constraints, wal=wal,
+                         checkpoint_every=args.checkpoint_every)
     if args.listen is not None:
         from repro.server import StoreServer
 
@@ -516,19 +516,11 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     The replay-from-checkpoint comes first: segments are only dropped
     once the checkpoint has proven it can restore the store without
     them."""
-    from pathlib import Path
-
     from repro.store import StoreEngine, WriteAheadLog
 
     engine = StoreEngine.replay(args.wal)  # proves the checkpoint restores
-    victims: list[Path] = []
-    if Path(args.wal).is_dir():
-        segments = WriteAheadLog.segment_paths(args.wal)
-        for i in range(len(segments) - 1, 0, -1):
-            head = WriteAheadLog.first_record(segments[i])
-            if head is not None and head.get("type") == "checkpoint":
-                victims = segments[:i]
-                break
+    segments = WriteAheadLog.segment_paths(args.wal)
+    victims = segments[:WriteAheadLog.checkpoint_floor(segments)]
     if victims and not args.dry_run:
         WriteAheadLog.prune(args.wal, archive=args.archive)
     remaining = [str(p) for p in WriteAheadLog.segment_paths(args.wal)]
@@ -713,9 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="transactions to generate (default 100)")
     p_serve.add_argument("--threads", type=int, default=4,
                          help="concurrent writer sessions (default 4)")
-    p_serve.add_argument("--mode", default="delta",
-                         choices=("delta", "audit", "serial"),
-                         help="commit validation mode (default delta)")
     p_serve.add_argument("--wal", default=None,
                          help="write-ahead log path (durable commits)")
     p_serve.add_argument("--seed", type=int, default=0,

@@ -58,9 +58,6 @@ class ReplicaEngine:
         validation (the distrusting mode); the default trusts the
         primary's gate and installs records directly, which still
         re-derives every state and checks version-id agreement.
-    validation:
-        Validation mode for the inner engine (only consulted under
-        ``verify``).
     follow_epochs:
         When ``True`` (default) the replica follows promotion ``epoch``
         records — its graph tracks whichever primary currently owns
@@ -78,11 +75,9 @@ class ReplicaEngine:
     cursor used to follow.
     """
 
-    def __init__(self, wal_path: str | Path, validation: str = "delta",
-                 from_checkpoint: bool = True, verify: bool = False,
-                 follow_epochs: bool = True):
+    def __init__(self, wal_path: str | Path, from_checkpoint: bool = True,
+                 verify: bool = False, follow_epochs: bool = True):
         self.wal_path = Path(wal_path)
-        self.validation = validation
         self.from_checkpoint = from_checkpoint
         self.verify = verify
         self.follow_epochs = follow_epochs
@@ -146,13 +141,9 @@ class ReplicaEngine:
             self._check_promoted()
             records = self._cursor.poll(max_records)
             if self._skip_to_checkpoint and self._engine is None:
-                # A single-segment (or single-file) log keeps its
-                # checkpoints inline; resume at the newest one visible
-                # in the bootstrap batch, exactly like replay.
-                for i in range(len(records) - 1, -1, -1):
-                    if records[i].get("type") == "checkpoint":
-                        records = records[i:]
-                        break
+                # Resume at the newest inline checkpoint visible in the
+                # bootstrap batch, exactly like replay.
+                records = WriteAheadLog.from_newest_checkpoint(records)
             applied = 0
             for record in records:
                 self._apply(record)
@@ -188,7 +179,7 @@ class ReplicaEngine:
                 current=int(record.get("epoch", 0)))
         if self._engine is None:
             self._engine = StoreEngine.from_wal_record(
-                record, validation=self.validation, verify=self.verify)
+                record, verify=self.verify)
             if self.metrics is not None:
                 self._engine.attach_observability(
                     self.metrics, self.tracer,

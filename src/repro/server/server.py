@@ -70,8 +70,9 @@ class StoreServer:
     ----------
     engine:
         A :class:`StoreEngine` (primary — read/write) or a
-        :class:`ReplicaEngine` (read-only; a background task keeps it
-        synced every ``sync_interval`` seconds).
+        :class:`ReplicaEngine` (read-only; an unbootstrapped replica
+        syncs once before the socket listens, then a background task
+        keeps it synced every ``sync_interval`` seconds).
     host, port:
         Bind address; ``port=0`` picks a free port, readable from
         :attr:`address` after start.
@@ -159,6 +160,14 @@ class StoreServer:
     async def _start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._commit_slots = asyncio.Semaphore(self.max_inflight_commits)
+        if self.read_only and not self.engine.ready:
+            # Bootstrap before listening, so the first connection's
+            # hello is answered whenever the log already holds a
+            # snapshot or checkpoint; the sync task retries failures.
+            try:
+                await self._loop.run_in_executor(None, self.engine.sync)
+            except StoreError:
+                pass
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         sock = self._server.sockets[0]

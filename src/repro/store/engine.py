@@ -9,25 +9,23 @@ construction (``check_all`` plus every integrity constraint), and a
 commit only installs a successor its validation admitted — so every
 version ever served satisfies the design axioms.
 
-Three validation modes, forming the store's own naive-to-kernel ladder
-(benchmarked against each other in ``bench_a9_store_throughput``):
+One commit gate, its path chosen from its inputs (timed in
+``bench_a9_store_throughput``):
 
-* ``"delta"`` (default) — targeted O(|delta|) probes
-  (:func:`~repro.store.txn.validate_changes`) against the head plus a
-  mutable head probe index; optimistic concurrency at ``(relation,
+* targeted O(|delta|) probes (:func:`~repro.store.txn.validate_changes`)
+  against the head plus a mutable head probe index, whenever the
+  :class:`~repro.store.txn.ValidationPlan` can probe every constraint
+  (``plan.incremental_ok``); optimistic concurrency at ``(relation,
   lhs-group)`` granularity lets disjoint writers commit back to back
-  without re-auditing, and the critical section is O(|delta|).
-* ``"audit"`` — every commit derives the candidate state and runs the
-  full dirty-context ``check_all`` (PR 4's chained caches +
-  ``CheckSet.recheck``); general — custom constraint kinds, wholesale
-  replaces — but re-serialises the audit behind the lock.
-* ``"serial"`` — the global-lock baseline: the candidate is rebuilt
-  through the public constructor (full re-validation) and audited cold,
-  the pre-delta behaviour of the library.
+  without re-auditing, and the critical section is O(|delta|);
+* the full dirty-context ``check_all`` audit of the derived candidate
+  (chained caches + ``CheckSet.recheck``) as the fallback: for commits
+  that buffer a wholesale ``replace`` (their footprint is unbounded, so
+  they also conflict with every concurrent commit) and for every commit
+  of an engine whose constraint set holds kinds the plan cannot probe.
 
-Commits that buffer a wholesale ``replace`` are routed through the
-audit path even in ``"delta"`` mode (their footprint is unbounded) and
-conflict with every concurrent commit.
+:attr:`StoreEngine.validation` reports the gate: ``"delta"``, or
+``"audit"`` when the plan cannot probe incrementally.
 
 Concurrency contract: reads are lock-free (states are immutable and the
 graph is append-only); one engine lock serialises commit installation.
@@ -73,8 +71,6 @@ from repro.store.wal import (
     commit_record,
     snapshot_record,
 )
-
-VALIDATION_MODES = ("delta", "audit", "serial")
 
 # The commit path reads its clock unconditionally; with observability
 # detached the clock is this constant zero — six trivial calls per
@@ -182,10 +178,6 @@ class StoreEngine:
         A segmented :class:`WriteAheadLog` instance (rotation bounds or
         a directory path) gives the log bounded segments that
         :meth:`checkpoint` heads and :meth:`WriteAheadLog.prune` drops.
-    validation:
-        One of ``"delta"`` / ``"audit"`` / ``"serial"`` (see the module
-        docstring).  ``"delta"`` silently degrades to ``"audit"`` when
-        the constraint set contains kinds it cannot probe incrementally.
     checkpoint_every:
         When set, a checkpoint record is written automatically after
         every N commits (WAL-backed engines only) — the knob that keeps
@@ -195,16 +187,11 @@ class StoreEngine:
     def __init__(self, root: DatabaseExtension,
                  constraints: ConstraintSet | Iterable = (),
                  branch: str = "main",
-                 validation: str = "delta",
                  wal: WriteAheadLog | str | Path | None = None,
                  sync: bool = False,
                  audit_root: bool = True,
                  checkpoint_every: int | None = None,
                  _floor: tuple | None = None):
-        if validation not in VALIDATION_MODES:
-            raise StoreError(
-                f"unknown validation mode {validation!r}; "
-                f"expected one of {VALIDATION_MODES}")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise StoreError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -222,9 +209,6 @@ class StoreEngine:
                     "root state is inconsistent; a store only serves "
                     "axiom-valid states:\n" + report.render())
         self.plan = ValidationPlan(root, self.constraints)
-        if validation == "delta" and not self.plan.incremental_ok:
-            validation = "audit"
-        self.validation = validation
         self._lock = threading.Lock()
         self._indexes: dict[str, ProbeIndex] = {}
         self._pins: dict[str, int] = {}
@@ -242,7 +226,7 @@ class StoreEngine:
                                       root_vid=entries[0][0], seq=seq)
             for vid, floor_branch, state in entries[1:]:
                 self.graph.add_floor(vid, floor_branch, state)
-        if validation == "delta":
+        if self.plan.incremental_ok:
             for name, head in self.graph.heads.items():
                 self._indexes[name] = ProbeIndex(self.plan, head.state)
         if wal is not None:
@@ -333,6 +317,13 @@ class StoreEngine:
         return self.state(at, branch).R(relation)
 
     @property
+    def validation(self) -> str:
+        """The commit gate this engine runs: ``"delta"`` (targeted
+        probes) or ``"audit"`` (a constraint kind the plan cannot
+        probe forces the full audit on every commit)."""
+        return "delta" if self.plan.incremental_ok else "audit"
+
+    @property
     def epoch(self) -> int:
         """The promotion epoch this engine serves under (0 until a
         failover ever happens; see :func:`repro.server.failover.promote`
@@ -343,7 +334,7 @@ class StoreEngine:
         """A summary of the store for protocol handshakes and status
         probes: branches with their head version ids, the sequence
         counter, the promotion epoch, the relation names served, and
-        the validation mode."""
+        the commit gate."""
         return {
             "branches": self.graph.branches(),
             "seq": self.graph.seq,
@@ -380,7 +371,7 @@ class StoreEngine:
             if self.wal is not None:
                 self.wal.append(branch_record(name, version.vid))
             self.graph.create_branch(name, version)
-            if self.validation == "delta":
+            if self.plan.incremental_ok:
                 self._indexes[name] = ProbeIndex(self.plan, version.state)
             return version
 
@@ -431,22 +422,8 @@ class StoreEngine:
                         f"commit of {changes!r} violates "
                         f"{len(findings)} check(s)", tuple(findings))
                 t2 = clock()
-                if candidate is None:
-                    candidate = head.state.apply_changes(
-                        changes.added, changes.removed, changes.replaced,
-                        validate=False)
-                t3 = clock()
-                if self.wal is not None:
-                    self.wal.append(commit_record(
-                        self.graph.next_vid(), head.vid, txn.branch,
-                        txn.ops))
-                t4 = clock()
-                version = self.graph.add_commit(head, candidate, writes,
-                                                tuple(txn.ops), txn.branch)
-                if index is not None:
-                    index.apply(changes, candidate)
-                txn.committed = True
-                self._after_commit_locked()
+                version, t3, t4 = self._install_locked(
+                    txn, head, index, changes, writes, candidate, clock)
         except TransactionConflict:
             if counters is not None:
                 counters["conflicts"].inc()
@@ -553,14 +530,34 @@ class StoreEngine:
                 "groups": _render_groups(writes),
             })
 
-    def _after_commit_locked(self) -> None:
-        """Periodic checkpointing, driven by the commit counter (called
-        with the engine lock held, right after a commit installed)."""
-        if self.wal is None or self.checkpoint_every is None:
-            return
-        self._commits_since_checkpoint += 1
-        if self._commits_since_checkpoint >= self.checkpoint_every:
-            self._checkpoint_locked()
+    def _install_locked(self, txn: Transaction, head: Version, index,
+                        changes, writes: frozenset | None,
+                        candidate: DatabaseExtension | None, clock):
+        """Install one commit (engine lock held): derive the successor
+        unless validation already did, log it, advance the graph and the
+        head's probe index, and apply the checkpoint cadence.  The WAL
+        record lands before the graph advances.  Returns ``(version, t3,
+        t4)``: the derive/wal_append phase boundaries read off
+        ``clock``."""
+        if candidate is None:
+            candidate = head.state.apply_changes(
+                changes.added, changes.removed, changes.replaced,
+                validate=False)
+        t3 = clock()
+        if self.wal is not None:
+            self.wal.append(commit_record(
+                self.graph.next_vid(), head.vid, txn.branch, txn.ops))
+        t4 = clock()
+        version = self.graph.add_commit(head, candidate, writes,
+                                        tuple(txn.ops), txn.branch)
+        if index is not None:
+            index.apply(changes, candidate)
+        txn.committed = True
+        if self.wal is not None and self.checkpoint_every is not None:
+            self._commits_since_checkpoint += 1
+            if self._commits_since_checkpoint >= self.checkpoint_every:
+                self._checkpoint_locked()
+        return version, t3, t4
 
     def _check_conflicts(self, txn: Transaction, head: Version,
                          writes: frozenset | None) -> None:
@@ -581,18 +578,11 @@ class StoreEngine:
                     keys=tuple(sorted(overlap, key=repr)))
 
     def _validate(self, head_state: DatabaseExtension, changes, index):
-        """(candidate, findings) for one delta under the engine's mode;
-        candidate is ``None`` when the targeted validator judged the
-        delta without deriving the successor state."""
-        if self.validation == "serial":
-            derived = head_state.apply_changes(
-                changes.added, changes.removed, changes.replaced,
-                validate=True)
-            candidate = DatabaseExtension(
-                self.schema, {e.name: derived.R(e) for e in self.schema},
-                head_state.contributors)
-            return candidate, findings_from_report(self._audit(candidate))
-        if self.validation == "audit" or changes.replaced:
+        """(candidate, findings) for one delta: the full audit of the
+        derived candidate when the head has no probe index or the delta
+        replaces a relation wholesale, the targeted probes otherwise
+        (candidate ``None``: judged without deriving the successor)."""
+        if index is None or changes.replaced:
             candidate = head_state.apply_changes(
                 changes.added, changes.removed, changes.replaced,
                 validate=False)
@@ -736,7 +726,6 @@ class StoreEngine:
     # ------------------------------------------------------------------
     @classmethod
     def replay(cls, wal_path: str | Path,
-               validation: str = "delta",
                verify: bool = False,
                wal: WriteAheadLog | str | Path | None = None,
                from_checkpoint: bool = True,
@@ -776,37 +765,24 @@ class StoreEngine:
                 "(crash mid-append); replaying the intact prefix",
                 TornTailWarning, stacklevel=2)
         segments = WriteAheadLog.segment_paths(wal_path)
-        start = 0
-        if from_checkpoint:
-            for i in range(len(segments) - 1, 0, -1):
-                head = WriteAheadLog.first_record(segments[i])
-                if head is not None and head.get("type") == "checkpoint":
-                    start = i
-                    break
+        start = WriteAheadLog.checkpoint_floor(segments) \
+            if from_checkpoint else 0
         records = WriteAheadLog._records_from(segments[start:])
         if from_checkpoint and start == 0:
-            # Single-file logs (and single-segment ones) keep their
-            # checkpoints inline; skip ahead to the newest.
-            buffered = list(records)
-            for i in range(len(buffered) - 1, -1, -1):
-                if buffered[i].get("type") == "checkpoint":
-                    buffered = buffered[i:]
-                    break
-            records = iter(buffered)
+            records = iter(WriteAheadLog.from_newest_checkpoint(
+                list(records)))
         try:
             first = next(records)
         except StopIteration:
             raise StoreError(f"empty WAL: {wal_path}") from None
-        engine = cls.from_wal_record(first, validation=validation,
-                                     verify=verify, wal=wal,
+        engine = cls.from_wal_record(first, verify=verify, wal=wal,
                                      checkpoint_every=checkpoint_every)
         for record in records:
             engine.apply_wal_record(record, verify=verify)
         return engine
 
     @classmethod
-    def from_wal_record(cls, record: dict, validation: str = "delta",
-                        verify: bool = False,
+    def from_wal_record(cls, record: dict, verify: bool = False,
                         wal: WriteAheadLog | str | Path | None = None,
                         checkpoint_every: int | None = None,
                         ) -> "StoreEngine":
@@ -822,11 +798,11 @@ class StoreEngine:
         if kind == "snapshot":
             db, constraint_set = io.database_from_dict(record["document"])
             return cls(db, constraint_set, branch=record["branch"],
-                       validation=validation, wal=wal, audit_root=verify,
+                       wal=wal, audit_root=verify,
                        checkpoint_every=checkpoint_every)
         if kind == "checkpoint":
             return cls._restore_checkpoint(
-                record, validation=validation, verify=verify, wal=wal,
+                record, verify=verify, wal=wal,
                 checkpoint_every=checkpoint_every)
         raise StoreError(
             "WAL must start with a snapshot or checkpoint record, "
@@ -922,8 +898,7 @@ class StoreEngine:
         return wal
 
     @classmethod
-    def _restore_checkpoint(cls, record: dict, validation: str,
-                            verify: bool, wal,
+    def _restore_checkpoint(cls, record: dict, verify: bool, wal,
                             checkpoint_every: int | None) -> "StoreEngine":
         """An engine whose graph starts at the checkpoint's floor: each
         branch head decoded from its document, the id sequence resumed
@@ -943,7 +918,7 @@ class StoreEngine:
         entries.sort(key=lambda e: (int(e[0][1:]), e[1]))
         root_vid, root_branch, root_state = entries[0]
         engine = cls(root_state, constraint_set, branch=root_branch,
-                     validation=validation, wal=wal, audit_root=verify,
+                     wal=wal, audit_root=verify,
                      checkpoint_every=checkpoint_every,
                      _floor=(record["seq"], entries,
                              int(record.get("epoch", 0))))
@@ -995,19 +970,9 @@ class StoreEngine:
             head = self.graph.head(txn.branch)
             index = self._indexes.get(txn.branch)
             changes = txn.net_changes(head.state, index)
-            writes = write_footprint(self.plan, changes)
-            candidate = head.state.apply_changes(
-                changes.added, changes.removed, changes.replaced,
-                validate=False)
-            if self.wal is not None:
-                self.wal.append(commit_record(
-                    self.graph.next_vid(), head.vid, txn.branch, txn.ops))
-            version = self.graph.add_commit(head, candidate, writes,
-                                            tuple(txn.ops), txn.branch)
-            if index is not None:
-                index.apply(changes, candidate)
-            txn.committed = True
-            self._after_commit_locked()
+            version, _, _ = self._install_locked(
+                txn, head, index, changes, write_footprint(self.plan, changes),
+                None, _ZERO_CLOCK)
             return version
 
     def close(self) -> None:

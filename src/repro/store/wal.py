@@ -383,6 +383,31 @@ class WriteAheadLog:
         return None
 
     @staticmethod
+    def checkpoint_floor(segments: list[Path]) -> int:
+        """The index of the newest segment past the first whose first
+        record is a ``checkpoint`` — where replay, a bootstrapping
+        replica and pruning start — or 0 when there is none (always for
+        a single-file log).  Takes the caller's :meth:`segment_paths`
+        listing, so a concurrent prune cannot shift the index under
+        it."""
+        for i in range(len(segments) - 1, 0, -1):
+            head = WriteAheadLog.first_record(segments[i])
+            if head is not None and head.get("type") == "checkpoint":
+                return i
+        return 0
+
+    @staticmethod
+    def from_newest_checkpoint(records: list[dict]) -> list[dict]:
+        """``records`` from the newest ``checkpoint`` record on (all of
+        them when there is none): single-file and single-segment logs
+        keep their checkpoints inline, and recovery resumes at the
+        newest one."""
+        for i in range(len(records) - 1, -1, -1):
+            if records[i].get("type") == "checkpoint":
+                return records[i:]
+        return records
+
+    @staticmethod
     def records(path: str | Path, torn_tail: str = "warn") -> Iterator[dict]:
         """The log's records in append order (blank lines skipped),
         across every segment for a directory path.
@@ -506,16 +531,9 @@ class WriteAheadLog:
         segment paths (their *original* locations).
         """
         path = Path(path)
-        if not path.is_dir():
-            return []
         segments = WriteAheadLog.segment_paths(path)
-        floor = None
-        for i in range(len(segments) - 1, 0, -1):
-            first = WriteAheadLog.first_record(segments[i])
-            if first is not None and first.get("type") == "checkpoint":
-                floor = i
-                break
-        if floor is None:
+        floor = WriteAheadLog.checkpoint_floor(segments)
+        if floor == 0:
             return []
         victims = segments[:floor]
         if archive is not None:
@@ -607,12 +625,10 @@ class WalCursor:
         bootstrap that lets a fresh replica skip pruned-or-prunable
         history entirely, mirroring ``replay(from_checkpoint=True)``."""
         segments = WriteAheadLog.segment_paths(self.path)
-        for i in range(len(segments) - 1, 0, -1):
-            head = WriteAheadLog.first_record(segments[i])
-            if head is not None and head.get("type") == "checkpoint":
-                self._segment = segments[i]
-                self._offset = 0
-                return
+        floor = WriteAheadLog.checkpoint_floor(segments)
+        if floor:
+            self._segment = segments[floor]
+            self._offset = 0
 
     def poll(self, max_records: int | None = None) -> list[dict]:
         """The complete records appended since the last poll.

@@ -253,3 +253,30 @@ def random_frame_message(rng: random.Random) -> dict:
     if rng.random() < 0.5:
         message["op"] = rng.choice(["ping", "hello", "read", "nosuch"])
     return message
+
+
+def audit_oracle(engine, ops) -> tuple:
+    """Judge one op spec against the engine's main head with the full
+    audit alone: the commit gate's differential oracle.
+
+    ``ops`` are ``(kind, relation, payload[, propagate])`` tuples (the
+    :meth:`Session.run` shape).  They are buffered on ``engine.begin()``,
+    netted against the head and applied without validation; the verdict
+    is ``"ok"`` iff ``check_all`` passes the candidate, and ``"noop"``
+    for an empty net delta.  Nothing is committed.  Returns ``(verdict,
+    txn, candidate)``."""
+    from repro.core import check_all
+
+    txn = engine.begin()
+    for spec in ops:
+        getattr(txn, spec[0])(*spec[1:])
+    head = txn.base.state
+    changes = txn.net_changes(head)
+    if not changes:
+        return "noop", txn, head
+    candidate = head.apply_changes(changes.added, changes.removed,
+                                   changes.replaced, validate=False)
+    report = check_all(engine.schema, candidate,
+                       constraints=engine.constraints,
+                       contributors=candidate.contributors)
+    return ("ok" if report.ok() else "rejected"), txn, candidate

@@ -160,18 +160,37 @@ class TestServeLogReplay:
         db, constraints = _io.load(out_doc)
         assert db.is_consistent()
 
-    def test_serve_modes_agree_on_traffic(self, document, tmp_path, capsys):
+    def test_serve_modes_agree_on_traffic(self, document, capsys):
+        """``serve`` runs the delta gate, and its outcome counts equal
+        those of the same seeded specs judged by the full-audit
+        oracle."""
         import json
+        import random
 
-        outcomes = {}
-        for mode in ("delta", "audit"):
-            assert cli.main(["serve", document, "--txns", "25",
-                             "--threads", "1", "--mode", mode,
-                             "--seed", "5", "--json"]) == 0
-            data = json.loads(capsys.readouterr().out)
-            outcomes[mode] = (data["committed"], data["rejected"],
-                              data["noop"])
-        assert outcomes["delta"] == outcomes["audit"]
+        from repro.store import StoreEngine
+        from repro.workloads import random_txn_specs
+
+        from generators import audit_oracle
+
+        assert cli.main(["serve", document, "--txns", "25",
+                         "--threads", "1", "--seed", "5", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["mode"] == "delta"
+        db, constraints = io.load(document)
+        oracle = StoreEngine(db, constraints)
+        counts = {"ok": 0, "rejected": 0, "noop": 0}
+        for ops in random_txn_specs(random.Random(5), db, 25):
+            verdict, txn, _ = audit_oracle(oracle, ops)
+            counts[verdict] += 1
+            if verdict == "ok":
+                oracle._install_unverified(txn)
+        assert (data["committed"], data["rejected"], data["noop"]) == \
+            (counts["ok"], counts["rejected"], counts["noop"])
+
+    def test_serve_mode_flag_is_gone(self, document, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["serve", document, "--mode", "audit"])
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestCheckpointGc:

@@ -128,6 +128,29 @@ class TestLiveTailDifferential:
         _assert_same_graph(replica.graph, engine.graph)
 
 
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_replace_commit_is_followed(self, tmp_path, verify):
+        """A wholesale ``replace`` (the gate's audit path) followed by
+        ordinary inserts reaches a fresh replica's head unchanged, its
+        footprint still unbounded."""
+        schema, db, constraints = serving_state(8)
+        wal_dir = tmp_path / "wal"
+        engine = StoreEngine(db, constraints,
+                             wal=WriteAheadLog(wal_dir, segment_records=4))
+        keep = sorted(engine.state().R("manager").tuples, key=repr)[:2]
+        replaced = engine.commit(engine.begin().replace(
+            "manager", [t.as_dict() for t in keep]))
+        session = SessionService(engine).session()
+        for row in manager_stream(8, 3):
+            session.run([("insert", "manager", row)])
+        engine.close()
+        replica = ReplicaEngine(wal_dir, verify=verify)
+        replica.catch_up()
+        _assert_same_graph(replica.graph, engine.graph)
+        assert replica.head_version().vid == engine.head_version().vid
+        assert replica.engine.version(replaced.vid).writes is None
+
+
 # ----------------------------------------------------------------------
 # checkpoint bootstrap
 # ----------------------------------------------------------------------
@@ -317,6 +340,30 @@ class TestStalenessReport:
         replica = ReplicaEngine(tmp_path / "wal")
         with pytest.raises(StoreError, match="not bootstrapped"):
             replica.read("dept")
+
+
+class TestServedBeforeFirstSync:
+    def test_server_bootstraps_replica_before_listening(self, tmp_path):
+        """A server over an unsynced replica answers ``hello`` and
+        ``read`` on its first connection, with no background sync."""
+        from repro.server import StoreClient, StoreServer
+
+        schema, db, constraints = serving_state(6)
+        wal = tmp_path / "w.log"
+        engine = StoreEngine(db, constraints, wal=wal)
+        row = manager_stream(6, 1)[0]
+        SessionService(engine).session().run([("insert", "manager", row)])
+        engine.close()
+        replica = ReplicaEngine(wal)
+        assert not replica.ready
+        with StoreServer(replica, sync_interval=0) as server:
+            with StoreClient(*server.address) as client:
+                hello = client.hello()
+                rows, version = client.read_at("manager")
+        assert hello["role"] == "replica"
+        assert hello["branches"] == engine.graph.branches()
+        assert hello["validation"] == "delta"
+        assert row in rows and version == engine.head_version().vid
 
 
 class TestCatchUpDeadline:

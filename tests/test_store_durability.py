@@ -371,6 +371,29 @@ class TestCheckpoint:
             StoreEngine.replay(wal, from_checkpoint=False, verify=True)
 
 
+class TestReplaceThroughTheLog:
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_replay_rebuilds_replace_commit(self, tmp_path, verify):
+        """A wholesale ``replace`` commit (the gate's audit path)
+        followed by ordinary inserts replays to the identical graph."""
+        wal = tmp_path / "store.wal"
+        engine = _mk_engine(n=30, wal=wal)
+        keep = sorted(engine.state().R("manager").tuples, key=repr)[:3]
+        replaced = engine.commit(engine.begin().replace(
+            "manager", [t.as_dict() for t in keep]))
+        _commit_rows(engine, manager_stream(30, 3))
+        engine.close()
+        replayed = StoreEngine.replay(wal, verify=verify)
+        assert [v.vid for v in replayed.graph.log()] == \
+            [v.vid for v in engine.graph.log()]
+        for v in engine.graph.log():
+            twin = replayed.version(v.vid)
+            assert twin.state == v.state, v.vid
+            assert twin.writes == v.writes, v.vid
+        assert replayed.version(replaced.vid).writes is None
+        assert replayed.graph.branches() == engine.graph.branches()
+
+
 # ----------------------------------------------------------------------
 # version-graph GC and pins
 # ----------------------------------------------------------------------
