@@ -7,20 +7,20 @@ Usage (after installation)::
     python -m repro.cli topology db.json           # S/G/CO and subbase report
     python -m repro.cli fd db.json --closure       # dependency closure
     python -m repro.cli example employee out.json  # write the paper's example
-    python -m repro.cli serve db.json --wal w.log  # run store traffic
-    python -m repro.cli serve db.json --wal w.log --listen :7071
+    python -m repro.cli serve db.json --wal wal/   # run store traffic
+    python -m repro.cli serve db.json --wal wal/ --listen :7071
                                                    # network store server
-    python -m repro.cli replica w.log --listen :7072
+    python -m repro.cli replica wal/ --listen :7072
                                                    # WAL-tailing read replica
-    python -m repro.cli replica w.log --once       # one sync + lag report
-    python -m repro.cli promote w.log --listen :7073
+    python -m repro.cli replica wal/ --once        # one sync + lag report
+    python -m repro.cli promote wal/ --listen :7073
                                                    # failover: next epoch
-    python -m repro.cli supervise w.log --id r1 --primary :7071
+    python -m repro.cli supervise wal/ --id r1 --primary :7071
                                                    # self-healing failover loop
-    python -m repro.cli log w.log                  # print the WAL history
-    python -m repro.cli replay w.log --verify      # rebuild + audit from WAL
-    python -m repro.cli checkpoint w.log           # append a checkpoint
-    python -m repro.cli gc w.log                   # prune checkpointed segments
+    python -m repro.cli log wal/                   # print the WAL history
+    python -m repro.cli replay wal/ --verify       # rebuild + audit from WAL
+    python -m repro.cli checkpoint wal/            # append a checkpoint
+    python -m repro.cli gc wal/                    # prune checkpointed segments
     python -m repro.cli metrics :7071 --watch 2    # live telemetry snapshot
     python -m repro.cli trace :7071 -n 5           # slowest recent traces
 
@@ -29,8 +29,8 @@ Documents use the JSON format of :mod:`repro.io`; ``serve``/``log``/
 :mod:`repro.store` and share the ``check --json`` audit-report shape, so
 CI can consume every audit surface uniformly.  ``serve --listen`` and
 ``replica`` expose a store over the wire protocol of
-:mod:`repro.server` (see ``src/repro/server/README.md``).  A WAL path may be a
-single file or a segment directory (``wal.000001.jsonl``, …); replay
+:mod:`repro.server` (see ``src/repro/server/README.md``).  A WAL path is a
+segment directory (``wal.000001.jsonl``, …, created when missing); replay
 starts from the newest checkpoint unless ``--full`` asks for v0.
 """
 
@@ -178,9 +178,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.workloads import random_txn_specs
 
     db, constraints = io.load(args.document)
-    wal = args.wal
-    if wal is not None and args.segment_records is not None:
-        wal = WriteAheadLog(wal, segment_records=args.segment_records)
+    wal = None
+    if args.wal is not None:
+        wal = WriteAheadLog(args.wal, segment_records=args.segment_records)
     engine = StoreEngine(db, constraints, wal=wal,
                          checkpoint_every=args.checkpoint_every)
     if args.listen is not None:
@@ -485,16 +485,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     """Append a checkpoint record to a WAL: replay it (trusting the
-    log), then write every branch head back as a full document — after
-    which ``replay`` starts here and ``gc`` can drop older segments."""
-    from repro.store import StoreEngine, WriteAheadLog, checkpoint_record
+    log), then write every branch head back as a full document, under
+    the log's current epoch, heading a fresh segment — after which
+    ``replay`` starts here and ``gc`` can drop older segments."""
+    from repro.store import StoreEngine, WriteAheadLog
 
     engine = StoreEngine.replay(args.wal)
-    record = checkpoint_record(engine.graph, engine.constraint_set)
-    with WriteAheadLog(args.wal) as wal:
-        wal.rotate()
-        wal.append(record)
-        segment = wal.current_segment
+    engine.adopt_wal(WriteAheadLog(args.wal))
+    try:
+        record = engine.checkpoint()
+        segment = engine.wal.current_segment
+    finally:
+        engine.close()
     summary = {
         "seq": record["seq"],
         "branches": {name: info["version"]
@@ -706,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--threads", type=int, default=4,
                          help="concurrent writer sessions (default 4)")
     p_serve.add_argument("--wal", default=None,
-                         help="write-ahead log path (durable commits)")
+                         help="write-ahead log directory (durable "
+                              "commits; created when missing)")
     p_serve.add_argument("--seed", type=int, default=0,
                          help="traffic generator seed (default 0)")
     p_serve.add_argument("--checkpoint-every", type=int, default=None,
@@ -715,9 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "N commits (keeps replay O(recent))")
     p_serve.add_argument("--segment-records", type=int, default=None,
                          metavar="N",
-                         help="rotate the WAL into numbered segments of "
-                              "at most N records (path becomes a "
-                              "directory)")
+                         help="start a new WAL segment every N records "
+                              "(default: only at checkpoints and "
+                              "promotions)")
     p_serve.add_argument("--json", action="store_true",
                          help="emit the serving summary + audit as JSON")
     p_serve.add_argument("--listen", default=None, metavar="HOST:PORT",

@@ -339,7 +339,6 @@ class Coordinator:
                  monitor: HealthMonitor, primary_id: str = "primary",
                  promote_timeout: float = 5.0, sync: bool = False,
                  segment_records: int | None = None,
-                 segment_bytes: int | None = None,
                  sync_on_step: bool = True,
                  on_promoted: Callable[[Any], None] | None = None):
         self.replica_id = str(replica_id)
@@ -349,7 +348,6 @@ class Coordinator:
         self.promote_timeout = promote_timeout
         self.sync = sync
         self.segment_records = segment_records
-        self.segment_bytes = segment_bytes
         self.sync_on_step = sync_on_step
         self.on_promoted = on_promoted
         self.role = "follower"
@@ -487,8 +485,7 @@ class Coordinator:
         try:
             engine = promote(self.replica, timeout=self.promote_timeout,
                              sync=self.sync,
-                             segment_records=self.segment_records,
-                             segment_bytes=self.segment_bytes)
+                             segment_records=self.segment_records)
         except EpochFenced as exc:
             # Raced and lost: the stamp that beat ours is the truth;
             # the replica resumed following, the next step re-pins.

@@ -65,8 +65,8 @@ ALIVE = SUSPICION_STATES[0]
 # promotion
 # ----------------------------------------------------------------------
 def promote(replica: ReplicaEngine, timeout: float = 5.0,
-            sync: bool = False, segment_records: int | None = None,
-            segment_bytes: int | None = None) -> StoreEngine:
+            sync: bool = False,
+            segment_records: int | None = None) -> StoreEngine:
     """Promote ``replica`` to primary over the log it was tailing.
 
     The contract, in order:
@@ -112,8 +112,7 @@ def promote(replica: ReplicaEngine, timeout: float = 5.0,
     replica.mark_promoted()
     try:
         wal = WriteAheadLog(replica.wal_path, sync=sync,
-                            segment_records=segment_records,
-                            segment_bytes=segment_bytes)
+                            segment_records=segment_records)
         if wal.epoch > engine.epoch or replica.behind_bytes():
             # Another promotion (or its first writes) landed between
             # our catch-up and opening the handle; that stamp is the

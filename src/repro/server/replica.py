@@ -44,12 +44,12 @@ class ReplicaEngine:
     Parameters
     ----------
     wal_path:
-        The primary's log — a single file or a segment directory.  The
-        replica only ever reads it.
+        The primary's segment directory (a regular file is refused with
+        :class:`~repro.errors.StoreError`).  The replica only ever reads
+        it.
     from_checkpoint:
         When ``True`` (default), bootstrap skips to the newest
-        checkpoint-headed segment (and, within the first batch, to the
-        newest inline checkpoint), mirroring
+        checkpoint-headed segment, mirroring
         ``StoreEngine.replay(from_checkpoint=True)`` — pre-checkpoint
         versions are simply absent, restored as floor versions.  With
         ``False`` the replica applies the full history from v0.
@@ -58,13 +58,9 @@ class ReplicaEngine:
         validation (the distrusting mode); the default trusts the
         primary's gate and installs records directly, which still
         re-derives every state and checks version-id agreement.
-    follow_epochs:
-        When ``True`` (default) the replica follows promotion ``epoch``
-        records — its graph tracks whichever primary currently owns
-        the log.  With ``False`` the replica is *pinned* to the epoch
-        it first applied records under: an epoch record appearing in
-        the tail raises :class:`~repro.errors.EpochFenced`, the loud
-        "your primary was demoted" signal a strict follower wants.
+
+    The replica follows promotion ``epoch`` records, so its graph
+    tracks whichever primary currently owns the log.
 
     Concurrency: :meth:`sync` is serialised by an internal lock (one
     tailer); reads are lock-free against the immutable graph, exactly
@@ -76,17 +72,15 @@ class ReplicaEngine:
     """
 
     def __init__(self, wal_path: str | Path, from_checkpoint: bool = True,
-                 verify: bool = False, follow_epochs: bool = True):
+                 verify: bool = False):
         self.wal_path = Path(wal_path)
         self.from_checkpoint = from_checkpoint
         self.verify = verify
-        self.follow_epochs = follow_epochs
         self.promoted = False
         self._engine: StoreEngine | None = None
         self._cursor = WalCursor(self.wal_path)
         if from_checkpoint:
             self._cursor.seek_newest_checkpoint_segment()
-        self._skip_to_checkpoint = from_checkpoint
         self._lock = threading.Lock()
         self._applied_records = 0
         self._last_sync: float | None = None
@@ -140,16 +134,9 @@ class ReplicaEngine:
         with self._lock, self.tracer.span("replica.sync"):
             self._check_promoted()
             records = self._cursor.poll(max_records)
-            if self._skip_to_checkpoint and self._engine is None:
-                # Resume at the newest inline checkpoint visible in the
-                # bootstrap batch, exactly like replay.
-                records = WriteAheadLog.from_newest_checkpoint(records)
-            applied = 0
             for record in records:
                 self._apply(record)
-                applied += 1
-            if applied or self._engine is not None:
-                self._skip_to_checkpoint = False
+            applied = len(records)
             self._applied_records += applied
             self._last_sync = time.monotonic()
             if self._c_syncs is not None:
@@ -168,15 +155,6 @@ class ReplicaEngine:
                 "longer tails it", held=epoch, current=epoch)
 
     def _apply(self, record: dict) -> None:
-        if (record.get("type") == "epoch" and not self.follow_epochs
-                and self._engine is not None):
-            raise EpochFenced(
-                f"replica is pinned to epoch {self._engine.epoch} but "
-                f"the log advanced to epoch {record.get('epoch')} (a "
-                "promotion happened); resubscribe with "
-                "follow_epochs=True to track the new primary",
-                held=self._engine.epoch,
-                current=int(record.get("epoch", 0)))
         if self._engine is None:
             self._engine = StoreEngine.from_wal_record(
                 record, verify=self.verify)
@@ -259,7 +237,6 @@ class ReplicaEngine:
             self._engine = None
             self._cursor = WalCursor(self.wal_path)
             self._cursor.seek_newest_checkpoint_segment()
-            self._skip_to_checkpoint = True
         return self.sync()
 
     def mark_promoted(self) -> None:
@@ -379,5 +356,4 @@ class ReplicaEngine:
 
 def segments_snapshot(wal_path: str | Path) -> list[str]:
     """The log's current segment names (diagnostics for lag reports)."""
-    return [p.name for p in WriteAheadLog.segment_paths(wal_path)
-            if p.exists()]
+    return [p.name for p in WriteAheadLog.segment_paths(wal_path)]

@@ -173,11 +173,10 @@ class StoreEngine:
         Integrity constraints (a :class:`ConstraintSet` or an iterable)
         every committed state must satisfy.
     wal:
-        Optional path or :class:`WriteAheadLog`; when given, the root
-        snapshot and every commit/branch/checkpoint are logged durably.
-        A segmented :class:`WriteAheadLog` instance (rotation bounds or
-        a directory path) gives the log bounded segments that
-        :meth:`checkpoint` heads and :meth:`WriteAheadLog.prune` drops.
+        Optional segment-directory path or :class:`WriteAheadLog`; when
+        given, the root snapshot and every commit/branch/checkpoint are
+        logged durably.  Each checkpoint heads a fresh segment, and
+        :meth:`WriteAheadLog.prune` drops the segments before it.
     checkpoint_every:
         When set, a checkpoint record is written automatically after
         every N commits (WAL-backed engines only) — the knob that keeps
@@ -598,10 +597,9 @@ class StoreEngine:
 
         Replay resumes from the newest checkpoint instead of v0, which
         is what keeps recovery time proportional to *recent* history.
-        On a segmented WAL the log rotates first, so the checkpoint is
-        its segment's first record and every older segment becomes
-        prunable (:meth:`prune_wal`); on a single-file WAL the record
-        is appended inline.  Returns the record written.
+        The log rotates first, so the checkpoint is its segment's first
+        record and every older segment becomes prunable
+        (:meth:`prune_wal`).  Returns the record written.
         """
         with self._lock:
             return self._checkpoint_locked()
@@ -621,7 +619,7 @@ class StoreEngine:
     def prune_wal(self, archive: str | Path | None = None) -> list[Path]:
         """Drop (or archive) WAL segments older than the newest
         checkpointed one — safe at any time: replay never reads them.
-        A no-op for single-file or never-checkpointed logs."""
+        A no-op for never-checkpointed logs."""
         if self.wal is None:
             raise StoreError("this engine has no WAL to prune")
         with self._lock:
@@ -738,8 +736,8 @@ class StoreEngine:
         :class:`StoreError`.
 
         With ``from_checkpoint=True`` (the default) replay starts at
-        the newest checkpoint — for a segmented log, old segments are
-        never even read — restoring each checkpointed branch head as a
+        the newest checkpoint-headed segment — older segments are never
+        even read — restoring each checkpointed branch head as a
         parentless *floor* version and re-applying only the commits
         after it; the pre-checkpoint versions are simply absent from
         the rebuilt graph (the in-memory mirror of segment pruning).
@@ -768,9 +766,6 @@ class StoreEngine:
         start = WriteAheadLog.checkpoint_floor(segments) \
             if from_checkpoint else 0
         records = WriteAheadLog._records_from(segments[start:])
-        if from_checkpoint and start == 0:
-            records = iter(WriteAheadLog.from_newest_checkpoint(
-                list(records)))
         try:
             first = next(records)
         except StopIteration:

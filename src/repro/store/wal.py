@@ -27,12 +27,14 @@ monotone sequence and every state is re-derived by re-applying the
 logged operations, so the replayed states are equal — relation for
 relation — to the originals.
 
-A log is either a **single file** (the original form) or a **segment
-directory** holding ``wal.000001.jsonl``, ``wal.000002.jsonl``, … in
-append order.  Segmented logs rotate on size/record-count bounds and on
-every checkpoint (so a checkpoint always heads its segment); segments
+A log is a **segment directory** holding ``wal.000001.jsonl``,
+``wal.000002.jsonl``, … in append order.  It rotates on an optional
+record-count bound, on every checkpoint (so a checkpoint always heads
+its segment) and on every epoch stamp (so does a promotion); segments
 before the newest checkpointed one carry no information the checkpoint
-does not, and :meth:`WriteAheadLog.prune` archives or drops them.
+does not, and :meth:`WriteAheadLog.prune` archives or drops them.  A
+regular file at a log path is refused (the migration recipe is in
+:meth:`WriteAheadLog.segment_paths`).
 
 Crash-safety contract: a crash mid-append leaves a torn *final* line.
 :meth:`records` drops it with a :class:`~repro.errors.TornTailWarning`
@@ -92,57 +94,45 @@ def _parse_line(line: bytes | str):
 
 
 class WriteAheadLog:
-    """An append-only JSON-lines log, single-file or segmented.
+    """An append-only JSON-lines log in a segment directory.
 
     Every :meth:`append` flushes to the OS; with ``sync=True`` it also
     ``fsync``\\ s, trading commit latency for power-loss durability.
     Appends are serialised by the engine's commit lock, which is what
     makes the log a total order of the graph's growth.
 
-    ``path`` naming a directory (or either rotation bound being set)
-    selects segmented mode: records append to the highest-numbered
-    ``wal.NNNNNN.jsonl`` segment, and a new segment starts whenever the
-    current one holds ``segment_records`` records or ``segment_bytes``
-    bytes — or whenever the engine writes a checkpoint
-    (:meth:`rotate`).  Single-file logs never rotate; checkpoints are
-    appended inline.
+    ``path`` is the directory (created when missing); records append to
+    its highest-numbered ``wal.NNNNNN.jsonl`` segment, and a new segment
+    starts whenever the current one holds ``segment_records`` records —
+    or whenever the engine writes a checkpoint (:meth:`rotate`) or a
+    promotion stamps an epoch (:meth:`stamp_epoch`).
     """
 
     def __init__(self, path: str | Path, sync: bool = False,
-                 segment_records: int | None = None,
-                 segment_bytes: int | None = None):
+                 segment_records: int | None = None):
         path = Path(path)
-        for bound, name in ((segment_records, "segment_records"),
-                            (segment_bytes, "segment_bytes")):
-            if bound is not None and bound < 1:
-                raise StoreError(f"{name} must be >= 1, got {bound}")
+        if segment_records is not None and segment_records < 1:
+            raise StoreError(
+                f"segment_records must be >= 1, got {segment_records}")
         self.sync = sync
         self.segment_records = segment_records
-        self.segment_bytes = segment_bytes
-        self.segmented = (path.is_dir() or segment_records is not None
-                          or segment_bytes is not None)
         self.path = path
         # Duck-typed observability hook (repro.obs.metrics.WalProbe):
         # when attached, append counts records/bytes into the registry
         # and times the fsync so the commit pipeline can attribute it
         # as its own phase.
         self.probe = None
-        if self.segmented:
-            path.mkdir(parents=True, exist_ok=True)
-            segments = self.segment_paths(path)
-            if segments:
-                index = int(_SEGMENT_RE.match(segments[-1].name).group(1))
-            else:
-                index = 1
-            self._segment_index = index
-            self._open_segment(path / (SEGMENT_PATTERN % index))
-        else:
-            self._open_segment(path)
+        segments = self.segment_paths(path)
+        path.mkdir(parents=True, exist_ok=True)
+        self._segment_index = (
+            int(_SEGMENT_RE.match(segments[-1].name).group(1))
+            if segments else 1)
+        self._open_segment(path / (SEGMENT_PATTERN % self._segment_index))
         self.epoch = self.current_epoch(path)
 
     def _open_segment(self, file_path: Path) -> None:
         """Open ``file_path`` for appending, priming the rotation
-        counters from whatever it already holds; a newly created file
+        counter from whatever it already holds; a newly created file
         fsyncs its parent directory (creation durability)."""
         created = not file_path.exists()
         self._file = file_path
@@ -150,17 +140,13 @@ class WriteAheadLog:
         if created:
             _fsync_dir(file_path.parent)
             self._count = 0
-            self._bytes = 0
         else:
             with open(file_path, "rb") as fh:
-                data = fh.read()
-            self._count = sum(1 for raw in data.splitlines() if raw.strip())
-            self._bytes = len(data)
+                self._count = sum(1 for raw in fh if raw.strip())
 
     @property
     def current_segment(self) -> Path:
-        """The file appends currently land in (``path`` itself for a
-        single-file log)."""
+        """The segment appends currently land in."""
         return self._file
 
     def append(self, record: dict) -> None:
@@ -174,11 +160,8 @@ class WriteAheadLog:
         except (TypeError, ValueError) as exc:
             raise StoreError(f"WAL record is not JSON-codable: {exc}") from exc
         data = line + "\n"
-        if self.segmented and self._count > 0 and (
-                (self.segment_records is not None
-                 and self._count >= self.segment_records)
-                or (self.segment_bytes is not None
-                    and self._bytes + len(data) > self.segment_bytes)):
+        if (self.segment_records is not None
+                and self._count >= self.segment_records):
             self.rotate()
         try:
             self._fh.write(data)
@@ -200,19 +183,19 @@ class WriteAheadLog:
         if probe is not None:
             probe.observe_append(len(data), fsync_s)
         self._count += 1
-        self._bytes += len(data)
 
     def rotate(self) -> Path:
-        """Start the next segment (the checkpoint and size-bound path).
+        """Start the next segment (the checkpoint, epoch and
+        record-bound path).
 
         The outgoing segment is flushed (and, under ``sync``, fsynced)
         before the new file is created, and the directory is fsynced so
-        the new segment survives power loss.  A no-op on single-file
-        logs and on a still-empty current segment.
+        the new segment survives power loss.  A no-op on a still-empty
+        current segment.
         """
         if self._fh.closed:
             raise StoreError(f"WAL {self.path} is closed; cannot rotate")
-        if not self.segmented or self._count == 0:
+        if self._count == 0:
             return self._file
         self._check_fence()
         self._fh.flush()
@@ -229,36 +212,22 @@ class WriteAheadLog:
     def _check_fence(self) -> None:
         """Refuse to write under a stale epoch.
 
-        Promotion rotates the log to a fresh segment (or, for a
-        single-file log, bumps the ``<path>.epoch`` sidecar), so a
-        demoted handle detects the takeover with one ``stat``: a
-        segment it did not create appearing after its own, or a sidecar
-        epoch beyond the one it holds.  The check runs on every append
-        and rotation — appends are per-commit, so the extra stat rides
-        a path that already pays for validation and an fsync-able
-        write.
+        Promotion rotates the log to a fresh segment, so a demoted
+        handle detects the takeover with one ``stat``: a segment it did
+        not create appearing after its own.  The check runs on every
+        append and rotation — appends are per-commit, so the extra stat
+        rides a path that already pays for validation and an
+        fsync-able write.
         """
-        if self.segmented:
-            nxt = self.path / (SEGMENT_PATTERN % (self._segment_index + 1))
-            if not nxt.exists():
-                return
-            current = self.current_epoch(self.path)
-            raise EpochFenced(
-                f"WAL {self.path} was taken over (epoch "
-                f"{max(current, self.epoch + 1)} stamped past segment "
-                f"{self._file.name}); this handle holds epoch "
-                f"{self.epoch} and may no longer append",
-                held=self.epoch, current=max(current, self.epoch + 1))
-        marker = self.epoch_marker(self.path)
-        try:
-            current = int(marker.read_text().split()[0])
-        except (OSError, ValueError):
-            return  # no sidecar: no promotion ever happened here
-        if current > self.epoch:
-            raise EpochFenced(
-                f"WAL {self.path} was taken over at epoch {current}; "
-                f"this handle holds epoch {self.epoch} and may no "
-                "longer append", held=self.epoch, current=current)
+        nxt = self.path / (SEGMENT_PATTERN % (self._segment_index + 1))
+        if not nxt.exists():
+            return
+        current = max(self.current_epoch(self.path), self.epoch + 1)
+        raise EpochFenced(
+            f"WAL {self.path} was taken over (epoch {current} stamped "
+            f"past segment {self._file.name}); this handle holds epoch "
+            f"{self.epoch} and may no longer append",
+            held=self.epoch, current=current)
 
     def stamp_epoch(self, epoch: int | None = None,
                     seq: int | None = None,
@@ -269,9 +238,7 @@ class WriteAheadLog:
 
         ``epoch`` defaults to the successor of the newest epoch visible
         in the log; ``seq``/``heads`` record where the graph stood at
-        takeover, so replay can cross-check.  Single-file logs cannot
-        rotate, so the fence is a ``<path>.epoch`` sidecar bumped
-        atomically alongside the inline record.  Returns the record.
+        takeover, so replay can cross-check.  Returns the record.
         """
         self._check_fence()  # two racing promotions: first stamp wins
         current = self.current_epoch(self.path)
@@ -288,47 +255,24 @@ class WriteAheadLog:
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._count += 1
-        self._bytes += len(line) + 1
-        if not self.segmented:
-            marker = self.epoch_marker(self.path)
-            with open(marker, "w", encoding="utf-8") as fh:
-                fh.write(f"{epoch}\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            _fsync_dir(marker.parent)
         self.epoch = epoch
         return record
 
     @staticmethod
-    def epoch_marker(path: str | Path) -> Path:
-        """The sidecar file fencing a *single-file* log (segmented logs
-        fence through segment appearance instead)."""
-        path = Path(path)
-        return path.parent / (path.name + ".epoch")
-
-    @staticmethod
     def current_epoch(path: str | Path) -> int:
         """The newest epoch stamped into the log (0 before any
-        promotion).  Segmented logs answer from segment heads — epoch
-        records always head their segment, and checkpoints carry the
-        epoch they were taken under — single-file logs from the
-        sidecar."""
-        path = Path(path)
-        if path.is_dir():
-            for segment in reversed(WriteAheadLog.segment_paths(path)):
-                head = WriteAheadLog.first_record(segment)
-                if head is None:
-                    continue
-                if head.get("type") == "epoch":
-                    return int(head.get("epoch", 0))
-                if head.get("type") == "checkpoint" and "epoch" in head:
-                    return int(head["epoch"])
-            return 0
-        marker = WriteAheadLog.epoch_marker(path)
-        try:
-            return int(marker.read_text().split()[0])
-        except (OSError, ValueError):
-            return 0
+        promotion), read from segment heads: epoch records always head
+        their segment, and checkpoints carry the epoch they were taken
+        under."""
+        for segment in reversed(WriteAheadLog.segment_paths(path)):
+            head = WriteAheadLog.first_record(segment)
+            if head is None:
+                continue
+            if head.get("type") == "epoch":
+                return int(head.get("epoch", 0))
+            if head.get("type") == "checkpoint" and "epoch" in head:
+                return int(head["epoch"])
+        return 0
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -345,25 +289,34 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     @staticmethod
     def segment_paths(path: str | Path) -> list[Path]:
-        """The log's files in append order: its numbered segments for a
-        directory, ``[path]`` for a single-file log."""
+        """The log's numbered segments in append order (none while the
+        directory does not exist yet).
+
+        A regular file at ``path`` is refused with :class:`StoreError`:
+        a one-file log from an older release migrates by moving it to
+        ``DIR/wal.000001.jsonl`` and running ``repro checkpoint DIR``,
+        which heads a fresh segment with every branch and the current
+        epoch.
+        """
         path = Path(path)
-        if path.is_dir():
+        try:
             return sorted(p for p in path.iterdir()
                           if _SEGMENT_RE.match(p.name))
-        return [path]
+        except FileNotFoundError:
+            return []
+        except NotADirectoryError:
+            raise StoreError(
+                f"WAL {path} is a regular file; a log is a segment "
+                f"directory.  Migrate it: mkdir DIR, move {path} to "
+                "DIR/wal.000001.jsonl, then run "
+                "`python -m repro.cli checkpoint DIR`") from None
 
     @staticmethod
     def is_empty(path: str | Path) -> bool:
-        """True when the log holds no records yet (missing file, empty
-        file, or a segment directory of empty segments)."""
-        path = Path(path)
-        if not path.exists():
-            return True
-        if path.is_dir():
-            return all(p.stat().st_size == 0
-                       for p in WriteAheadLog.segment_paths(path))
-        return path.stat().st_size == 0
+        """True when the log holds no records yet (no directory, or a
+        directory of empty segments)."""
+        return all(p.stat().st_size == 0
+                   for p in WriteAheadLog.segment_paths(path))
 
     @staticmethod
     def first_record(path: str | Path) -> dict | None:
@@ -386,10 +339,9 @@ class WriteAheadLog:
     def checkpoint_floor(segments: list[Path]) -> int:
         """The index of the newest segment past the first whose first
         record is a ``checkpoint`` — where replay, a bootstrapping
-        replica and pruning start — or 0 when there is none (always for
-        a single-file log).  Takes the caller's :meth:`segment_paths`
-        listing, so a concurrent prune cannot shift the index under
-        it."""
+        replica and pruning start — or 0 when there is none.  Takes the
+        caller's :meth:`segment_paths` listing, so a concurrent prune
+        cannot shift the index under it."""
         for i in range(len(segments) - 1, 0, -1):
             head = WriteAheadLog.first_record(segments[i])
             if head is not None and head.get("type") == "checkpoint":
@@ -397,37 +349,21 @@ class WriteAheadLog:
         return 0
 
     @staticmethod
-    def from_newest_checkpoint(records: list[dict]) -> list[dict]:
-        """``records`` from the newest ``checkpoint`` record on (all of
-        them when there is none): single-file and single-segment logs
-        keep their checkpoints inline, and recovery resumes at the
-        newest one."""
-        for i in range(len(records) - 1, -1, -1):
-            if records[i].get("type") == "checkpoint":
-                return records[i:]
-        return records
-
-    @staticmethod
-    def records(path: str | Path, torn_tail: str = "warn") -> Iterator[dict]:
+    def records(path: str | Path) -> Iterator[dict]:
         """The log's records in append order (blank lines skipped),
-        across every segment for a directory path.
+        across every segment.
 
-        ``torn_tail`` governs the *final* line of the *final* segment
-        when it is not a complete record — the signature a crash
-        mid-append leaves: ``"warn"`` (default) drops it with a
-        :class:`TornTailWarning`, ``"ignore"`` drops it silently, and
-        ``"error"`` raises.  A corrupt line anywhere else always raises
-        :class:`StoreError` — a mid-log hole means the history after it
-        cannot be trusted.
+        When the *final* line of the *final* segment is not a complete
+        record — the signature a crash mid-append leaves — it is
+        dropped with a :class:`TornTailWarning`.  A corrupt line
+        anywhere else raises :class:`StoreError`: a mid-log hole means
+        the history after it cannot be trusted.
         """
-        if torn_tail not in ("warn", "ignore", "error"):
-            raise ValueError(f"unknown torn_tail policy {torn_tail!r}")
         segments = WriteAheadLog.segment_paths(path)
-        yield from WriteAheadLog._records_from(segments, torn_tail)
+        yield from WriteAheadLog._records_from(segments)
 
     @staticmethod
-    def _records_from(segments: list[Path],
-                      torn_tail: str = "warn") -> Iterator[dict]:
+    def _records_from(segments: list[Path]) -> Iterator[dict]:
         """``records`` over an explicit (ordered) segment list — replay
         uses this to start at the newest checkpointed segment."""
         for si, segment in enumerate(segments):
@@ -441,13 +377,11 @@ class WriteAheadLog:
                 if ok:
                     yield record
                     continue
-                final = si == len(segments) - 1 and i == nonblank[-1]
-                if final and torn_tail != "error":
-                    if torn_tail == "warn":
-                        warnings.warn(
-                            f"dropping torn final WAL line {n} in "
-                            f"{segment} (crash mid-append); the prefix "
-                            f"is intact", TornTailWarning, stacklevel=3)
+                if si == len(segments) - 1 and i == nonblank[-1]:
+                    warnings.warn(
+                        f"dropping torn final WAL line {n} in "
+                        f"{segment} (crash mid-append); the prefix "
+                        f"is intact", TornTailWarning, stacklevel=3)
                     return
                 raise StoreError(
                     f"corrupt WAL line {n} in {segment}: not a record "
@@ -456,7 +390,7 @@ class WriteAheadLog:
 
     @staticmethod
     def repair(path: str | Path) -> int:
-        """Truncate a torn final line off the log's last file.
+        """Truncate a torn final line off the log's last segment.
 
         Returns the bytes dropped (0 when the tail is clean).  Only the
         *final* line may be malformed — that is what a crash mid-append
@@ -472,7 +406,7 @@ class WriteAheadLog:
         where the durable prefix ends.
         """
         segments = WriteAheadLog.segment_paths(path)
-        if not segments or not segments[-1].exists():
+        if not segments:
             return 0
         last = segments[-1]
         data = last.read_bytes()
@@ -525,9 +459,9 @@ class WriteAheadLog:
 
         Those segments describe only history the checkpoint already
         carries in full, so replay never reads them; pruning is how a
-        long-running store's disk stays bounded.  Single-file logs and
-        segmented logs without a checkpoint are left untouched (their
-        whole history is still load-bearing).  Returns the pruned
+        long-running store's disk stays bounded.  A log without a
+        checkpoint past its first segment is left untouched (its whole
+        history is still load-bearing).  Returns the pruned
         segment paths (their *original* locations).
         """
         path = Path(path)
@@ -573,24 +507,19 @@ class WalCursor:
       :class:`StoreError`; the caller re-bootstraps from the newest
       checkpoint (:meth:`repro.server.ReplicaEngine.resync`).
 
-    Positions are plain dicts (:meth:`position`), so a replica can
-    persist and resume its own progress.
+    :meth:`position` reports where the cursor stands as a plain dict
+    (the replica lag report includes it).
     """
 
     __slots__ = ("path", "_segment", "_offset")
 
-    def __init__(self, path: str | Path, position: dict | None = None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         self._segment: Path | None = None
         self._offset = 0
-        if position is not None:
-            if position.get("segment") is not None:
-                self._segment = self.path / position["segment"] \
-                    if self.path.is_dir() else self.path
-            self._offset = int(position.get("offset", 0))
 
     def position(self) -> dict:
-        """The resumable read position: ``{"segment", "offset"}``."""
+        """The read position: ``{"segment", "offset"}``."""
         return {
             "segment": self._segment.name if self._segment is not None
             else None,
@@ -601,8 +530,7 @@ class WalCursor:
         """Bytes of log the cursor has not consumed yet — the cheap
         staleness measure a replica's lag report leads with (0 means the
         replica has read everything durably written so far)."""
-        segments = [p for p in WriteAheadLog.segment_paths(self.path)
-                    if p.exists()]
+        segments = WriteAheadLog.segment_paths(self.path)
         if not segments:
             return 0
         if self._segment is None:
@@ -621,9 +549,9 @@ class WalCursor:
 
     def seek_newest_checkpoint_segment(self) -> None:
         """Position the cursor at the newest checkpoint-headed segment
-        (a no-op when none exists, or for single-file logs) — the
-        bootstrap that lets a fresh replica skip pruned-or-prunable
-        history entirely, mirroring ``replay(from_checkpoint=True)``."""
+        (a no-op when none exists) — the bootstrap that lets a fresh
+        replica skip pruned-or-prunable history entirely, mirroring
+        ``replay(from_checkpoint=True)``."""
         segments = WriteAheadLog.segment_paths(self.path)
         floor = WriteAheadLog.checkpoint_floor(segments)
         if floor:
@@ -641,8 +569,7 @@ class WalCursor:
         while True:
             if max_records is not None and len(out) >= max_records:
                 return out
-            segments = [p for p in WriteAheadLog.segment_paths(self.path)
-                        if p.exists()]
+            segments = WriteAheadLog.segment_paths(self.path)
             if not segments:
                 return out
             if self._segment is None:
@@ -695,6 +622,8 @@ class WalCursor:
             # Frozen segment fully consumed: advance to the next one.
             self._segment = segments[index + 1]
             self._offset = 0
+
+
 def snapshot_record(db, constraints, version_id: str,
                     branch: str) -> dict[str, Any]:
     """The root state as a ``snapshot`` record (a full database

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import os
 import random
+from pathlib import Path
 
 from repro.relational import FD, MVD, JoinDependency, Relation
 from repro.relational.algebra import join_all_naive, project_naive
+from repro.store import WriteAheadLog
 
 
 def chaos_seeds(count: int, base: int | None = None) -> list[int]:
@@ -30,6 +32,12 @@ def chaos_seeds(count: int, base: int | None = None) -> list[int]:
     if base is None:
         base = int(os.environ.get("REPRO_CHAOS_SEED", "0") or "0")
     return [base + i for i in range(count)]
+
+
+def last_segment(wal_dir) -> Path:
+    """The segment a WAL directory appends to — the file crash and
+    tamper tests cut or edit in place."""
+    return WriteAheadLog.segment_paths(wal_dir)[-1]
 
 
 def random_family(rng: random.Random, points: list[str]) -> list[frozenset[str]]:

@@ -5,6 +5,8 @@ import pytest
 from repro import cli, io
 from repro.core.employee import employee_constraints, employee_extension
 
+from generators import last_segment
+
 
 @pytest.fixture
 def document(tmp_path):
@@ -325,7 +327,7 @@ class TestReplicaLagBound:
         assert "max_lag_bytes: 0" in out
 
     def test_over_bound_exits_nonzero(self, committed_wal, capsys):
-        with open(committed_wal, "ab") as f:
+        with open(last_segment(committed_wal), "ab") as f:
             f.write(b'{"type": "commit", "ver')  # a torn, growing tail
         assert cli.main(["replica", str(committed_wal), "--once",
                          "--timeout", "0.3",
@@ -335,7 +337,7 @@ class TestReplicaLagBound:
 
     def test_no_bound_keeps_the_old_contract(self, committed_wal,
                                              capsys):
-        with open(committed_wal, "ab") as f:
+        with open(last_segment(committed_wal), "ab") as f:
             f.write(b'{"type": "commit", "ver')
         assert cli.main(["replica", str(committed_wal), "--once",
                          "--timeout", "0.3"]) == 0
@@ -379,3 +381,83 @@ class TestSupervise:
             cli.main(["supervise", str(committed_wal), "--id", "r1",
                       "--primary", "127.0.0.1:1",
                       "--peer", "oops", "--once"])
+
+
+def _one_file_log(wal_dir, path):
+    """The one-file layout of an older release: ``wal_dir``'s segments
+    concatenated in append order into the regular file ``path``."""
+    from repro.store import WriteAheadLog
+
+    path.write_bytes(b"".join(
+        p.read_bytes() for p in WriteAheadLog.segment_paths(wal_dir)))
+    return path
+
+
+class TestOneLayout:
+    def test_checkpoint_keeps_the_promoted_epoch(self, committed_wal,
+                                                 capsys):
+        import json
+
+        from repro.store import StoreEngine, WriteAheadLog
+
+        assert cli.main(["promote", str(committed_wal), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["epoch"] == 1
+        assert cli.main(["checkpoint", str(committed_wal), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert sorted(summary) == ["branches", "segment", "seq"]
+        assert WriteAheadLog.current_epoch(committed_wal) == 1
+        assert StoreEngine.replay(committed_wal).epoch == 1
+        assert StoreEngine.replay(committed_wal, from_checkpoint=False,
+                                  verify=True).epoch == 1
+        assert cli.main(["promote", str(committed_wal), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["epoch"] == 2
+
+    @pytest.mark.parametrize("open_log", [
+        "WriteAheadLog", "StoreEngine.replay", "ReplicaEngine",
+        "log", "replay", "gc"])
+    def test_regular_file_log_is_refused(self, committed_wal, tmp_path,
+                                         open_log):
+        from repro.errors import StoreError
+        from repro.server import ReplicaEngine
+        from repro.store import StoreEngine, WriteAheadLog
+
+        path = _one_file_log(committed_wal, tmp_path / "old.wal")
+        openers = {
+            "WriteAheadLog": WriteAheadLog,
+            "StoreEngine.replay": StoreEngine.replay,
+            "ReplicaEngine": ReplicaEngine,
+        }
+        with pytest.raises(StoreError, match="wal.000001.jsonl"):
+            if open_log in openers:
+                openers[open_log](path)
+            else:
+                cli.main([open_log, str(path)])
+
+    def test_migration_recipe(self, committed_wal, tmp_path, capsys):
+        from repro.server import ReplicaEngine, promote
+        from repro.store import SessionService, StoreEngine, WriteAheadLog
+        from repro.workloads import manager_stream
+
+        promoted = promote(ReplicaEngine(committed_wal))
+        SessionService(promoted).session().run(
+            [("insert", "manager", manager_stream(8, 2)[1])])
+        promoted.close()
+        old = _one_file_log(committed_wal, tmp_path / "old.wal")
+        migrated = tmp_path / "migrated"
+        migrated.mkdir()
+        old.rename(migrated / "wal.000001.jsonl")
+        assert cli.main(["checkpoint", str(migrated)]) == 0
+        capsys.readouterr()
+
+        assert WriteAheadLog.current_epoch(migrated) == 1
+        original = StoreEngine.replay(committed_wal, from_checkpoint=False)
+        full = StoreEngine.replay(migrated, from_checkpoint=False,
+                                  verify=True)
+        assert full.graph.branches() == original.graph.branches()
+        assert sorted(full.graph.versions) == sorted(original.graph.versions)
+        for vid in original.graph.versions:
+            assert full.state(vid) == original.state(vid)
+        resumed = StoreEngine.replay(migrated)
+        assert resumed.epoch == full.epoch == 1
+        assert resumed.graph.branches() == promoted.graph.branches()
+        assert resumed.state() == promoted.state()

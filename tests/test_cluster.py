@@ -36,7 +36,7 @@ from repro.server import (
 from repro.store import SessionService, StoreEngine
 from repro.workloads import manager_stream, serving_state
 
-from generators import chaos_seeds
+from generators import chaos_seeds, last_segment
 
 
 def _mk_engine(n=30, **kwargs):
@@ -719,7 +719,7 @@ class TestKillAndHealSweep:
         engine.close()
         torn = rng.random() < 0.5
         if torn:
-            with open(wal, "ab") as f:
+            with open(last_segment(wal), "ab") as f:
                 f.write(b'{"type": "commit", "ver')
 
         clock = FakeClock()

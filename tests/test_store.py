@@ -39,7 +39,7 @@ from repro.workloads import (
     serving_state,
 )
 
-from generators import audit_oracle
+from generators import audit_oracle, last_segment
 
 
 @pytest.fixture
@@ -505,10 +505,11 @@ class TestWalReplay:
         engine.commit(engine.begin().insert("manager", row))
         engine.close()
         # tamper: break the logged row's worksfor support
-        lines = path.read_text().splitlines()
+        segment = last_segment(path)
+        lines = segment.read_text().splitlines()
         lines[1] = lines[1].replace(f'"budget": {row["budget"]}',
                                     f'"budget": {(row["budget"] + 1) % 53}')
-        path.write_text("\n".join(lines) + "\n")
+        segment.write_text("\n".join(lines) + "\n")
         with pytest.raises(CommitRejected):
             StoreEngine.replay(path, verify=True)
 

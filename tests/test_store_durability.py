@@ -34,6 +34,7 @@ from repro.workloads import (
     manager_stream,
     serving_state,
 )
+from generators import last_segment
 
 
 def _mk_engine(n=60, **kwargs):
@@ -55,7 +56,7 @@ def _head_states(engine):
 
 @pytest.fixture
 def logged(tmp_path):
-    """A closed single-file WAL holding a snapshot + 5 commits."""
+    """A closed one-segment WAL holding a snapshot + 5 commits."""
     wal = tmp_path / "store.wal"
     engine = _mk_engine(wal=wal)
     _commit_rows(engine, manager_stream(60, 5))
@@ -69,28 +70,18 @@ def logged(tmp_path):
 class TestTornTail:
     def test_records_tolerates_torn_final_line(self, logged):
         wal, _ = logged
-        data = wal.read_bytes()
-        wal.write_bytes(data[:-7])  # tear the last record mid-line
+        seg = last_segment(wal)
+        data = seg.read_bytes()
+        seg.write_bytes(data[:-7])  # tear the last record mid-line
         with pytest.warns(TornTailWarning):
             records = list(WriteAheadLog.records(wal))
         assert len(records) == 5  # snapshot + 4 intact commits
         assert records[-1]["version"] == "v4"
 
-    def test_torn_tail_policies(self, logged):
-        wal, _ = logged
-        wal.write_bytes(wal.read_bytes()[:-7])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = list(WriteAheadLog.records(wal, torn_tail="ignore"))
-        assert len(records) == 5
-        with pytest.raises(StoreError):
-            list(WriteAheadLog.records(wal, torn_tail="error"))
-        with pytest.raises(ValueError):
-            list(WriteAheadLog.records(wal, torn_tail="nonsense"))
-
     def test_record_missing_final_newline_is_complete(self, logged):
         wal, _ = logged
-        wal.write_bytes(wal.read_bytes().rstrip(b"\n"))
+        seg = last_segment(wal)
+        seg.write_bytes(seg.read_bytes().rstrip(b"\n"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records = list(WriteAheadLog.records(wal))
@@ -99,12 +90,13 @@ class TestTornTail:
 
     def test_repair_truncates_and_is_idempotent(self, logged):
         wal, _ = logged
-        intact = wal.read_bytes()
+        seg = last_segment(wal)
+        intact = seg.read_bytes()
         torn = intact[:-7]
-        wal.write_bytes(torn)
+        seg.write_bytes(torn)
         last_line_start = intact.rstrip(b"\n").rfind(b"\n") + 1
         assert WriteAheadLog.repair(wal) == len(torn) - last_line_start
-        assert wal.read_bytes() == intact[:last_line_start]
+        assert seg.read_bytes() == intact[:last_line_start]
         assert WriteAheadLog.repair(wal) == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -112,22 +104,24 @@ class TestTornTail:
 
     def test_replay_recovers_intact_prefix(self, logged):
         wal, original = logged
-        wal.write_bytes(wal.read_bytes()[:-7])
+        seg = last_segment(wal)
+        seg.write_bytes(seg.read_bytes()[:-7])
         with pytest.warns(TornTailWarning):
             engine = StoreEngine.replay(wal)
         assert len(engine.graph) == 5  # v0..v4: the torn v5 is dropped
         assert engine.head_version().vid == "v4"
         assert engine.state() == original.state("v4")
-        # Replay repaired the file on disk: a second read is clean.
+        # Replay repaired the segment on disk: a second read is clean.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert len(list(WriteAheadLog.records(wal))) == 5
 
     def test_mid_log_corruption_raises(self, logged):
         wal, _ = logged
-        lines = wal.read_bytes().splitlines(keepends=True)
+        seg = last_segment(wal)
+        lines = seg.read_bytes().splitlines(keepends=True)
         lines[2] = b'{"type": "commit", "version"\n'  # torn, but not final
-        wal.write_bytes(b"".join(lines))
+        seg.write_bytes(b"".join(lines))
         with pytest.raises(StoreError, match="corrupt WAL line 3"):
             list(WriteAheadLog.records(wal))
         with pytest.raises(StoreError, match="not a torn tail"):
@@ -137,7 +131,8 @@ class TestTornTail:
 
     def test_non_object_final_line_is_torn_not_trusted(self, logged):
         wal, _ = logged
-        with open(wal, "ab") as fh:
+        seg = last_segment(wal)
+        with open(seg, "ab") as fh:
             fh.write(b'"just a string"\n')
         with pytest.warns(TornTailWarning):
             records = list(WriteAheadLog.records(wal))
@@ -346,7 +341,8 @@ class TestCheckpoint:
         restored = StoreEngine.replay(wal, wal=fresh)
         _commit_rows(restored, rows[4:])
         restored.close()
-        first = WriteAheadLog.first_record(fresh)
+        first = WriteAheadLog.first_record(
+            WriteAheadLog.segment_paths(fresh)[0])
         assert first["type"] == "checkpoint"
         again = StoreEngine.replay(fresh)
         assert again.head_version().vid == restored.head_version().vid
@@ -360,13 +356,14 @@ class TestCheckpoint:
         _commit_rows(engine, manager_stream(60, 3))
         engine.checkpoint()
         engine.close()
-        lines = wal.read_text(encoding="utf-8").splitlines()
+        seg = last_segment(wal)
+        lines = seg.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[-1])
         assert record["type"] == "checkpoint"
         doc = record["branches"]["main"]["document"]
         doc["relations"]["manager"].pop()  # drop a row from the document
         lines[-1] = json.dumps(record, sort_keys=True)
-        wal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        seg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(StoreError, match="drift"):
             StoreEngine.replay(wal, from_checkpoint=False, verify=True)
 
@@ -517,11 +514,13 @@ class TestCrashInjection:
         engine = _mk_engine(n=30, wal=wal)
         _commit_rows(engine, manager_stream(30, 5))
         engine.close()
-        data = wal.read_bytes()
+        segment = last_segment(wal)
+        data = segment.read_bytes()
         last_start = data.rstrip(b"\n").rfind(b"\n") + 1
         target = tmp_path / "cut.wal"
+        target.mkdir()
         for cut in range(last_start, len(data) + 1):
-            target.write_bytes(data[:cut])
+            (target / segment.name).write_bytes(data[:cut])
             complete = cut >= len(data) - 1  # only the newline missing
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TornTailWarning)
@@ -537,7 +536,7 @@ class TestCrashInjection:
 
     def test_torn_segment_boundary(self, tmp_path):
         """Tearing the last record of a segmented log behaves exactly
-        like the single-file case — only the final segment's final line
+        like the one-segment case — only the final segment's final line
         is ever forgiven."""
         path = tmp_path / "seg"
         engine = _mk_engine(n=30, wal=WriteAheadLog(path, segment_records=3))
