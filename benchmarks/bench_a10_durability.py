@@ -24,7 +24,7 @@ set in ``benchmarks/compare_bench.py``).
 import pytest
 
 from bench_a9_store_throughput import _commit_batch
-from repro.store import SessionService, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads import (
     disjoint_commit_specs,
     manager_stream,
@@ -55,7 +55,7 @@ def churn_wal(tmp_path_factory):
         wal=WriteAheadLog(path, segment_records=1000),
         checkpoint_every=CHECKPOINT_EVERY)
     rows = manager_stream(60, 40)
-    session = SessionService(engine).session()
+    session = Session(engine)
     for i in range(CHURN_COMMITS // 2):
         row = rows[i % len(rows)]
         session.commit(session.begin().insert("manager", row))

@@ -31,7 +31,7 @@ import threading
 import pytest
 
 from repro.server import ReplicaEngine, StoreClient, StoreServer
-from repro.store import SessionService, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads import (
     disjoint_commit_specs,
     manager_stream,
@@ -149,8 +149,7 @@ def test_a11_replica_tail(benchmark, tmp_path):
     engine = StoreEngine(
         db, constraints, wal=WriteAheadLog(wal_dir, segment_records=32),
         checkpoint_every=48)
-    service = SessionService(engine)
-    session = service.session()
+    session = Session(engine)
     for ops in [s for shard in disjoint_commit_specs(
             manager_stream(ROWS, TAIL_COMMITS), 1) for s in shard]:
         session.run(ops)

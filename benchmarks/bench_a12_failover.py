@@ -30,7 +30,7 @@ from repro.server import (
     StoreServer,
     promote,
 )
-from repro.store import SessionService, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads import (
     disjoint_commit_specs,
     manager_stream,
@@ -56,7 +56,7 @@ def _build_history(wal_dir):
     engine = StoreEngine(
         db, constraints, wal=WriteAheadLog(wal_dir, segment_records=32),
         checkpoint_every=48)
-    session = SessionService(engine).session()
+    session = Session(engine)
     for ops in [s for shard in disjoint_commit_specs(
             manager_stream(ROWS, HISTORY_COMMITS), 1) for s in shard]:
         session.run(ops)

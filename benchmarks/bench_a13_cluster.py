@@ -31,7 +31,7 @@ from repro.server import (
     StoreServer,
     engine_probe,
 )
-from repro.store import SessionService, StoreEngine
+from repro.store import Session, StoreEngine
 from repro.workloads import manager_stream, serving_state
 
 ROWS = 200
@@ -66,7 +66,7 @@ def _dead_probe():
 def _build_history(wal):
     schema, db, constraints = state(ROWS)
     engine = StoreEngine(db, constraints, wal=wal)
-    session = SessionService(engine).session()
+    session = Session(engine)
     for row in manager_stream(ROWS, HISTORY_COMMITS):
         session.run([("insert", "manager", row)])
     engine.close()

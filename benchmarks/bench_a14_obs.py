@@ -23,7 +23,7 @@ Run with ``--bench-json`` to record timings in ``BENCH_kernel.json``
 from time import perf_counter
 
 from repro.obs import MetricsRegistry, Tracer
-from repro.store import SessionService, StoreEngine
+from repro.store import Session, StoreEngine
 from repro.workloads import manager_stream, serving_state
 
 ROWS = 200
@@ -51,7 +51,7 @@ def _fresh_engine(tmp_path, tag, instrumented):
 
 
 def _run_stream(engine, rows):
-    session = SessionService(engine).session()
+    session = Session(engine)
     for row in rows:
         session.run([("insert", "manager", row)])
     return engine

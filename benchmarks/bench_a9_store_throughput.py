@@ -5,8 +5,8 @@ committing small disjoint transactions against a five-relation state
 (~n rows per relation), every commit axiom-gated.  Three engines are
 timed on the same traffic:
 
-* ``delta`` — the store's own gate: targeted O(|delta|) validation plus
-  lhs-group optimistic concurrency (:class:`StoreEngine`);
+* ``delta`` — the store's own gate: targeted O(|delta|) validation
+  against the branch head under the commit lock (:class:`StoreEngine`);
 * ``audit`` — the bench-local :class:`AuditEngine`, whose every commit
   takes the gate's audit fallback (the full dirty-context
   ``check_all``, serialised behind the commit lock);
@@ -35,7 +35,7 @@ import threading
 import pytest
 
 from repro.core import DatabaseExtension
-from repro.store import SessionService, StoreEngine
+from repro.store import Session, StoreEngine
 from repro.store.txn import findings_from_report
 from repro.workloads import (
     disjoint_commit_specs,
@@ -84,10 +84,8 @@ def state(n: int):
 
 
 def _commit_batch(engine: StoreEngine, specs) -> StoreEngine:
-    service = SessionService(engine)
-
     def worker(shard):
-        session = service.session()
+        session = Session(engine)
         for ops in shard:
             session.run(ops)
 

@@ -167,14 +167,15 @@ def _serve_until_interrupt(server, banner: str) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run generated session traffic against a store built from the
     document — the smallest end-to-end serving exercise: N worker
-    threads, optimistic commits, optional WAL, and a final audit.  With
-    ``--listen``, serve the store over the wire protocol instead."""
+    threads committing onto the shared head, optional WAL, and a final
+    audit.  With ``--listen``, serve the store over the wire protocol
+    instead."""
     import random
     import threading
     import time
 
-    from repro.errors import CommitRejected, TransactionConflict
-    from repro.store import SessionService, StoreEngine, WriteAheadLog
+    from repro.errors import CommitRejected
+    from repro.store import Session, StoreEngine, WriteAheadLog
     from repro.workloads import random_txn_specs
 
     db, constraints = io.load(args.document)
@@ -195,30 +196,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"serving {args.document} ({engine.validation} mode)")
         finally:
             engine.close()
-    service = SessionService(engine)
     rng = random.Random(args.seed)
     specs = random_txn_specs(rng, db, args.txns)
     shards = [specs[i::args.threads] for i in range(args.threads)]
-    counts = {"rejected": 0, "conflicts": 0}
+    counts = {"rejected": 0}
     tally = threading.Lock()
     errors: list[BaseException] = []
 
     def worker(shard):
-        session = service.session()
-        rejected = conflicts = 0
+        session = Session(engine)
+        rejected = 0
         for ops in shard:
             try:
                 session.run(ops)
             except CommitRejected:
                 rejected += 1
-            except TransactionConflict:
-                conflicts += 1  # retries exhausted under contention
             except BaseException as exc:  # re-raised after join
                 errors.append(exc)
                 break
         with tally:
             counts["rejected"] += rejected
-            counts["conflicts"] += conflicts
 
     threads = [threading.Thread(target=worker, args=(shard,))
                for shard in shards]
@@ -234,8 +231,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # concurrency — a no-op commit returns a head another writer may
     # have just advanced, so per-thread attribution would race).
     counts["committed"] = len(engine.graph) - 1
-    counts["noop"] = (args.txns - counts["committed"] - counts["rejected"]
-                      - counts["conflicts"])
+    counts["noop"] = args.txns - counts["committed"] - counts["rejected"]
     report = engine.audit()
     engine.close()
     summary = {
@@ -254,8 +250,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         for key in ("txns", "threads", "mode", "committed", "rejected",
-                    "conflicts", "noop", "versions", "head", "seconds",
-                    "commits_per_s"):
+                    "noop", "versions", "head", "seconds", "commits_per_s"):
             print(f"{key}: {summary[key]}")
         print("final audit:", "CONSISTENT" if report.ok()
               else report.render())

@@ -18,7 +18,6 @@ Two conditions tie the extension to the intension:
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Mapping
 
 from repro.core.contributors import ContributorAssignment
@@ -36,21 +35,16 @@ from repro.relational import Relation, Tuple, join_all, project
 # interns afresh on demand, also compacts the append-only shared symbol
 # tables that would otherwise accumulate every value ever seen.  The
 # default can be overridden per state (``DatabaseExtension(...,
-# chain_cap=...)``, inherited by every derived successor) or process-wide
-# through the ``REPRO_CHAIN_CAP`` environment variable.
+# chain_cap=...)``, inherited by every derived successor).
 DEFAULT_CHAIN_CAP = 1024
-
-# Backwards-compatible alias for the pre-configurable name.
-_CHAIN_CAP = DEFAULT_CHAIN_CAP
 
 
 def _resolve_chain_cap(chain_cap: int | None) -> int:
-    """The severing cap to use: explicit argument, else ``REPRO_CHAIN_CAP``
-    from the environment, else the module default.  Must be >= 1 (a cap
-    of 1 makes every successor a fresh root)."""
+    """The severing cap to use: the explicit argument, else the module
+    default.  Must be >= 1 (a cap of 1 makes every successor a fresh
+    root)."""
     if chain_cap is None:
-        env = os.environ.get("REPRO_CHAIN_CAP")
-        chain_cap = int(env) if env else DEFAULT_CHAIN_CAP
+        chain_cap = DEFAULT_CHAIN_CAP
     if chain_cap < 1:
         raise ValueError(f"chain_cap must be >= 1, got {chain_cap}")
     return chain_cap

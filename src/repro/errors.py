@@ -166,19 +166,3 @@ class DeadlineExceeded(StoreError):
     both *that* time ran out and *why* the last attempt failed.
     """
 
-
-class TransactionConflict(StoreError):
-    """Optimistic concurrency failure: the transaction's footprint
-    overlaps a commit that landed after its base version.
-
-    Attributes
-    ----------
-    keys:
-        Tuple of the overlapping ``(relation, attrs, projected-row)``
-        conflict keys (empty when a wholesale replace forced the
-        conflict).  Retrying against the new head usually succeeds.
-    """
-
-    def __init__(self, message: str, keys: tuple = ()):
-        super().__init__(message)
-        self.keys = tuple(keys)

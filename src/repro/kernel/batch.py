@@ -72,9 +72,9 @@ def dirty_group_keys(idx_sets: Iterable[tuple[int, ...]],
 
     This is the granularity of incremental constraint re-evaluation
     (:meth:`CheckSet.recheck` re-sweeps exactly these lhs-groups) and of
-    the store's optimistic conflict detection: two updates can interact
-    with a grouped sweep only where their key sets for some grouping
-    overlap, so disjoint key footprints commute.
+    the store's commit footprints: two updates can interact with a
+    grouped sweep only where their key sets for some grouping overlap,
+    so disjoint key footprints commute.
     """
     rows = list(rows)
     return {
@@ -166,7 +166,7 @@ class CheckSet:
     def lhs_index_sets(self) -> tuple[tuple[int, ...], ...]:
         """The distinct grouping column tuples of the compiled FDs and
         MVDs — the granularity :func:`dirty_group_keys` (and therefore
-        :meth:`recheck` and the store's conflict footprints) works at."""
+        :meth:`recheck` and the store's commit footprints) works at."""
         return tuple(self._grouped_entries())
 
     def _grouped_entries(self) -> dict[tuple[int, ...], list[list]]:

@@ -191,10 +191,10 @@ def minimal_cover(fds: Iterable[FD]) -> frozenset[FD]:
         work |= fd.decompose()
     # Reduce left-hand sides.  The dependency set is fixed throughout the
     # reduction, so large inputs compile one kernel for every query;
-    # small ones stay on the direct sweep (cheaper than interning).
+    # small ones stay on closure's direct sweep (cheaper than interning).
     if len(work) < _KERNEL_MIN_FDS:
         work_list = sorted(work, key=repr)
-        query = lambda attrs: closure_naive(attrs, work_list)  # noqa: E731
+        query = lambda attrs: closure(attrs, work_list)  # noqa: E731
     else:
         query = FDKernel(work).closure
     reduced: set[FD] = set()
@@ -223,7 +223,7 @@ def candidate_keys(schema: Iterable[AttrName], fds: Iterable[FD]) -> frozenset[f
                 candidate = frozenset(combo)
                 if any(key <= candidate for key in keys):
                     continue
-                if closure_naive(candidate, fds) == schema_set:
+                if closure(candidate, fds) == schema_set:
                     keys.append(candidate)
         return frozenset(keys)
     kern = FDKernel(fds, attrs=sorted(schema_set))

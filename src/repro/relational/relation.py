@@ -73,7 +73,7 @@ class Tuple:
         Items are already sorted and validated, and filtering preserves
         both, so the projection goes through the trusted constructor.
         Projections are the store's per-commit hot path (probe keys,
-        conflict footprints, propagation) and the same tuple is asked
+        propagation) and the same tuple is asked
         for the same few attribute sets again and again, so results are
         memoised on the tuple (lazily — only tuples that are projected
         allocate the cache, and the key space is bounded by the attr

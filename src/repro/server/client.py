@@ -2,11 +2,10 @@
 
 :class:`StoreClient` mirrors the embedded :class:`~repro.store.Session`
 API over a TCP connection: :meth:`StoreClient.run` ships a whole
-transaction as one ``commit`` frame and raises the same exceptions — a
-rejected commit raises :class:`CommitRejected` with the witness
-findings the server's axiom gate produced, a lost optimistic race
-raises :class:`TransactionConflict` with the overlapping keys (in
-their JSON-flattened wire form).  The client is deliberately simple and
+transaction as one ``commit`` frame, which the server commits onto the
+branch head, and raises the same exceptions — a rejected commit raises
+:class:`CommitRejected` with the witness findings the server's axiom
+gate produced.  The client is deliberately simple and
 synchronous: tests, benchmarks, and the CLI drive it; concurrency comes
 from threads each holding their own client (see
 :class:`~repro.server.pool.ClientPool`).

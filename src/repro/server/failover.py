@@ -49,7 +49,6 @@ from repro.errors import (
     ReproError,
     ServerOverloaded,
     StoreError,
-    TransactionConflict,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.server.client import StoreClient
@@ -448,7 +447,7 @@ def _read_retryable(exc: BaseException) -> bool:
     genuinely answer it."""
     if isinstance(exc, EpochFenced):
         return True  # a demoted peer: another rung will answer
-    if isinstance(exc, (CommitRejected, TransactionConflict)):
+    if isinstance(exc, CommitRejected):
         return False
     return isinstance(exc,
                       (OSError, ProtocolError, ServerOverloaded,

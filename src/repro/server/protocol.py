@@ -19,14 +19,15 @@ message is one JSON object.  Requests carry a client-chosen ``id``
     One whole transaction in one frame: ``ops``, a list of WAL-form op
     records (``{"op": "insert", "relation": ..., "row": {...},
     "propagate": ...}`` and friends), buffered into a fresh transaction
-    at the connection branch's head and committed.  The server holds
-    no transaction state between frames.  Rows are validated on
-    arrival; a malformed record fails the whole commit and changes
-    nothing.  Response: ``version``, ``parent``, ``branch``.
-    Rejections answer with code ``commit-rejected`` carrying the witness
-    ``findings``; optimistic-concurrency losses (after the server-side
-    retry loop) answer ``conflict`` with the overlapping ``keys``.
-    Replica connections refuse with ``read-only``.
+    on the connection's branch and committed.  The server holds no
+    transaction state between frames.  Rows are validated on arrival;
+    a malformed record fails the whole commit and changes nothing.
+    The ops are netted, validated and installed against the branch
+    head at commit time, so a commit never loses a race: it lands or
+    is rejected on its merits.  Response: ``version``, ``parent``,
+    ``branch``.  Rejections answer with code ``commit-rejected``
+    carrying the witness ``findings``.  Replica connections refuse
+    with ``read-only``.
 ``read``
     One relation's instance set at a pinned version: ``relation``,
     optional ``at`` (vid) / ``branch``.  Response: ``rows`` (list of
@@ -70,7 +71,7 @@ name and meaning, consumers like ``election_rank`` still work):
 * Primary extras: ``connections``, ``max_connections``,
   ``inflight_commits``, ``max_inflight_commits``, ``commits``,
   ``frames_served``, ``bad_frames``, ``rejected_overloaded``,
-  ``idle_closed``, ``live_sessions``.
+  ``idle_closed``.
 * Replica extras: ``wal``, ``position`` (``[segment, offset]``),
   ``behind_bytes``, ``applied_records``, ``promoted``, ``verify``,
   ``seconds_since_sync``.
@@ -98,7 +99,6 @@ from repro.errors import (
     ProtocolError,
     ServerOverloaded,
     StoreError,
-    TransactionConflict,
 )
 
 PROTOCOL_VERSION = 1
@@ -120,7 +120,7 @@ STATUS_CORE_KEYS = ("role", "epoch", "ready", "counters")
 #: frame layer could delimit but not parse; ``fatal`` marks errors after
 #: which the server closes the connection (stream desync, oversize).
 ERROR_CODES = (
-    "commit-rejected", "conflict", "epoch-fenced", "read-only",
+    "commit-rejected", "epoch-fenced", "read-only",
     "overloaded", "extension-error", "store-error", "protocol-error",
     "bad-frame",
 )
@@ -142,9 +142,6 @@ def error_payload(exc: BaseException) -> dict:
     if isinstance(exc, CommitRejected):
         return {"code": "commit-rejected", "message": str(exc),
                 "findings": [dict(f) for f in exc.findings]}
-    if isinstance(exc, TransactionConflict):
-        return {"code": "conflict", "message": str(exc),
-                "keys": [_jsonable_key(k) for k in exc.keys]}
     if isinstance(exc, EpochFenced):
         return {"code": "epoch-fenced", "message": str(exc),
                 "held": exc.held, "current": exc.current}
@@ -160,29 +157,15 @@ def error_payload(exc: BaseException) -> dict:
             "message": f"{type(exc).__name__}: {exc}"}
 
 
-def _jsonable_key(key: Any) -> Any:
-    """Conflict keys are ``(relation, attrs-frozenset, projected-row)``
-    triples; flatten the non-JSON members to sorted/readable forms."""
-    try:
-        relation, attrs, row = key
-        return [relation, sorted(attrs), repr(row)]
-    except (TypeError, ValueError):
-        return repr(key)
-
-
 def raise_for_error(error: dict) -> None:
     """Re-raise a response's ``error`` object as the exception it
-    encodes — the client-side half of the bridge.  Findings and conflict
-    keys survive the round trip (keys as their JSON-flattened form)."""
+    encodes — the client-side half of the bridge.  Findings survive the
+    round trip."""
     code = error.get("code", "store-error")
     message = error.get("message", "remote error")
     if code == "commit-rejected":
         raise CommitRejected(message,
                              tuple(error.get("findings", ())))
-    if code == "conflict":
-        raise TransactionConflict(
-            message, keys=tuple(tuple(k) if isinstance(k, list) else k
-                                for k in error.get("keys", ())))
     if code == "epoch-fenced":
         raise EpochFenced(message, held=int(error.get("held", 0)),
                           current=int(error.get("current", 0)))

@@ -3,11 +3,11 @@
 One :class:`StoreServer` owns one listening socket and one engine.  A
 connection is a sequence of length-prefixed JSON frames (see
 :mod:`repro.io` for the bytes and :mod:`repro.server.protocol` for the
-messages); each connection gets its own :class:`~repro.store.Session`.
-A commit is one stateless frame carrying all of its ops: the server
-buffers them into a fresh transaction and commits it with the session's
-retry loop, so no transaction state lives between frames, and the same
-exceptions an embedded caller sees come back as typed error payloads.
+messages).  A commit is one stateless frame carrying all of its ops: the
+server buffers them into a fresh transaction on the connection's branch
+and commits it onto the branch head, so no transaction state lives
+between frames, and the same exceptions an embedded caller sees come
+back as typed error payloads.
 
 Robustness posture:
 
@@ -20,14 +20,14 @@ Robustness posture:
   connection (the stream offset can no longer be trusted) but for that
   connection only.
 * The connection pool is bounded: over-capacity connections receive one
-  ``overloaded`` error frame and are closed before any session state is
+  ``overloaded`` error frame and are closed before any connection state is
   allocated.
 * Commits run on executor threads behind a bounded semaphore — when the
   commit queue is at depth, further writers *wait* (backpressure)
   rather than stacking unbounded blocking work.
-* A disconnect mid-commit closes the session, which flips the closed
-  flag the :meth:`Session.commit` retry loop observes — in-flight
-  conflicts surface instead of retrying into a dead connection.
+* A disconnect mid-commit leaves nothing to clean up: the commit on
+  its executor thread either lands or is rejected, and its response
+  goes nowhere.
 
 A server constructed over a :class:`~repro.server.replica.ReplicaEngine`
 is read-only: write ops answer ``read-only``, reads are served from the
@@ -50,17 +50,15 @@ from repro.obs.trace import Tracer
 from repro.server import protocol
 from repro.server.replica import ReplicaEngine
 from repro.store.engine import StoreEngine
-from repro.store.session import Session, SessionService
 
 
 class _Connection:
-    """Per-connection state: the bound branch and its session."""
+    """Per-connection state: the bound branch."""
 
-    __slots__ = ("branch", "session")
+    __slots__ = ("branch",)
 
     def __init__(self) -> None:
         self.branch = "main"
-        self.session: Session | None = None
 
 
 class StoreServer:
@@ -119,7 +117,6 @@ class StoreServer:
         self.engine = engine
         self.cluster = cluster
         self.read_only = isinstance(engine, ReplicaEngine)
-        self.service = None if self.read_only else SessionService(engine)
         self.host = host
         self.port = port
         self.max_connections = max_connections
@@ -192,8 +189,6 @@ class StoreServer:
         for task in handlers:
             task.cancel()
         await asyncio.gather(*handlers, return_exceptions=True)
-        if self.service is not None:
-            self.service.close_all()
 
     async def serve_forever(self) -> None:
         """Run in the caller's event loop until cancelled (CLI mode)."""
@@ -240,7 +235,7 @@ class StoreServer:
 
     def stop(self) -> None:
         """Stop a background server: close the listener, cancel the
-        sync task, close every session, join the thread."""
+        sync task and every connection handler, join the thread."""
         if self._thread is None:
             return
         loop = self._loop
@@ -324,11 +319,6 @@ class StoreServer:
             pass
         finally:
             self._g_connections.dec()
-            if conn.session is not None:
-                try:
-                    conn.session.close()
-                except StoreError:
-                    pass
             writer.close()
 
     async def _read_frame(self, reader: asyncio.StreamReader) -> dict:
@@ -410,9 +400,6 @@ class StoreServer:
         store = self._store
         store.head_version(branch)  # fail fast on unknown branches
         conn.branch = branch
-        if conn.session is not None:
-            conn.session.close()
-            conn.session = None
         summary = store.describe()
         return protocol.ok_response(
             rid, protocol=protocol.PROTOCOL_VERSION,
@@ -457,7 +444,6 @@ class StoreServer:
             bad_frames=self._c_bad_frames.value,
             rejected_overloaded=self._c_rejected_overloaded.value,
             idle_closed=self._c_idle_closed.value,
-            live_sessions=len(self.service.live_sessions()),
             seq=summary["seq"], versions=summary["versions"],
             branches=summary["branches"]))
 
@@ -480,19 +466,14 @@ class StoreServer:
             payload["traces"] = self.tracer.slowest(traces)
         return protocol.ok_response(rid, **payload)
 
-    def _session(self, conn: _Connection) -> Session:
-        if conn.session is None:
-            conn.session = self.service.session(conn.branch)
-        return conn.session
-
     async def _op_commit(self, conn, rid, message) -> dict:
         ops = message.get("ops")
         if not isinstance(ops, list):
             raise ProtocolError("'ops' must be a list of op records")
-        session = self._session(conn)
+        engine, branch = self.engine, conn.branch
 
         def commit():
-            return session.commit(session.begin().apply_records(ops))
+            return engine.commit(engine.begin(branch).apply_records(ops))
 
         async with self._commit_slots:  # write backpressure
             self._g_inflight.inc()

@@ -4,12 +4,12 @@ The paper models a database as a family of extension states judged by
 the design axioms; this package *serves* such states: a branchable
 version graph of immutable ``DatabaseExtension`` values
 (:mod:`version_graph`), transactions whose commits are axiom-gated
-deltas with optimistic lhs-group conflict detection (:mod:`txn`), a
-durable JSON-lines write-ahead log (:mod:`wal`), a thread-safe session
-API with lock-free snapshot reads (:mod:`session`), and the engine
-tying them together (:mod:`engine`).  See the "Store layer" section of
+deltas judged against the branch head (:mod:`txn`), a durable
+JSON-lines write-ahead log (:mod:`wal`), a session API with lock-free
+snapshot reads (:mod:`session`), and the engine tying them together
+(:mod:`engine`).  See the "Store layer" section of
 ``src/repro/kernel/README.md`` for the commit/validate/sever lifecycle
-and the conflict-detection contract.
+and the commit-serialisation contract.
 """
 
 from repro.errors import (
@@ -20,10 +20,9 @@ from repro.errors import (
     StoreError,
     StoreWarning,
     TornTailWarning,
-    TransactionConflict,
 )
 from repro.store.engine import ProbeIndex, StoreEngine
-from repro.store.session import Session, SessionService
+from repro.store.session import Session
 from repro.store.txn import (
     Changes,
     Op,
@@ -49,13 +48,11 @@ __all__ = [
     "ProbeIndex",
     "ServerOverloaded",
     "Session",
-    "SessionService",
     "StoreEngine",
     "StoreError",
     "StoreWarning",
     "TornTailWarning",
     "Transaction",
-    "TransactionConflict",
     "ValidationPlan",
     "Version",
     "VersionGraph",

@@ -15,26 +15,22 @@ One commit gate, its path chosen from its inputs (timed in
 * targeted O(|delta|) probes (:func:`~repro.store.txn.validate_changes`)
   against the head plus a mutable head probe index, whenever the
   :class:`~repro.store.txn.ValidationPlan` can probe every constraint
-  (``plan.incremental_ok``); optimistic concurrency at ``(relation,
-  lhs-group)`` granularity lets disjoint writers commit back to back
-  without re-auditing, and the critical section is O(|delta|);
+  (``plan.incremental_ok``); the critical section is O(|delta|);
 * the full dirty-context ``check_all`` audit of the derived candidate
   (chained caches + ``CheckSet.recheck``) as the fallback: for commits
-  that buffer a wholesale ``replace`` (their footprint is unbounded, so
-  they also conflict with every concurrent commit) and for every commit
-  of an engine whose constraint set holds kinds the plan cannot probe.
+  that buffer a wholesale ``replace`` and for every commit of an engine
+  whose constraint set holds kinds the plan cannot probe.
 
 :attr:`StoreEngine.validation` reports the gate: ``"delta"``, or
 ``"audit"`` when the plan cannot probe incrementally.
 
 Concurrency contract: reads are lock-free (states are immutable and the
-graph is append-only); one engine lock serialises commit installation.
-A transaction whose write footprint overlaps a commit that landed after
-its base raises :class:`~repro.errors.TransactionConflict` (first
-committer wins); disjoint footprints are rebased onto the head
-automatically — sound because validation probes and conflict keys are
-drawn from the *same* probe family, so a disjoint commit cannot disturb
-the groups this one's validation judged.
+graph is append-only); one engine lock serialises commits.  One rule
+governs every commit: a transaction's buffered ops are netted,
+validated and installed against the branch head *under that lock*,
+whatever the head was when the transaction began — so commits are
+serial by construction, and every installed successor was judged
+against exactly the state it extends.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from repro.errors import (
     DependencyError,
     StoreError,
     TornTailWarning,
-    TransactionConflict,
 )
 from repro.obs.metrics import MetricsRegistry, WalProbe
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -85,10 +80,10 @@ COMMIT_PHASES = ("rebase", "validate", "derive", "wal_append", "total")
 
 
 def _render_groups(writes: frozenset | None, limit: int = 8):
-    """The touched lhs-groups of a commit footprint, JSON-codable:
-    ``[relation, sorted-attrs, repr(projected-row)]`` per group, capped
-    at ``limit``; ``None`` for an unbounded footprint (wholesale
-    replace)."""
+    """The touched lhs-groups of a commit (:func:`write_footprint`),
+    JSON-codable: ``[relation, sorted-attrs, repr(projected-row)]`` per
+    group, capped at ``limit``; ``None`` for an unbounded footprint
+    (wholesale replace)."""
     if writes is None:
         return None
     out = []
@@ -353,8 +348,10 @@ class StoreEngine:
     # writes
     # ------------------------------------------------------------------
     def begin(self, branch: str = "main") -> Transaction:
-        """A transaction pinned at the branch's current head."""
-        return Transaction(self.schema, self.graph.head(branch), branch)
+        """A transaction on ``branch`` (an unknown branch fails fast);
+        it commits onto whatever head the branch has at commit time."""
+        self.graph.head(branch)
+        return Transaction(self.schema, branch)
 
     def branch(self, name: str, at: str | None = None,
                from_branch: str = "main") -> Version:
@@ -377,16 +374,13 @@ class StoreEngine:
     def commit(self, txn: Transaction) -> Version:
         """Validate and install one transaction.
 
-        Raises :class:`CommitRejected` (with witness findings) when the
-        delta violates an axiom or constraint, and
-        :class:`TransactionConflict` when its footprint overlaps a
-        commit that landed after its base (retry from the new head; see
-        :meth:`Session.commit` for the retry loop).  A transaction whose
-        net effect *against the current head* is empty returns the head
-        unchanged — including when concurrent commits already did the
-        same work (re-deleting a deleted row, re-inserting a present
-        one): an intent the head already satisfies has nothing left to
-        conflict over.
+        The buffered ops are netted, validated and installed against
+        the branch head under the engine lock.  Raises
+        :class:`CommitRejected` (with witness findings) when the delta
+        violates an axiom or constraint.  A transaction whose net effect
+        *against the current head* is empty returns the head unchanged —
+        including when concurrent commits already did the same work
+        (re-deleting a deleted row, re-inserting a present one).
         """
         if txn.committed:
             raise StoreError("transaction was already committed")
@@ -410,9 +404,6 @@ class StoreEngine:
                     if counters is not None:
                         counters["noops"].inc()
                     return head
-                writes = write_footprint(self.plan, changes)
-                if head is not txn.base:
-                    self._check_conflicts(txn, head, writes)
                 t1 = clock()
                 candidate, findings = self._validate(head.state, changes,
                                                      index)
@@ -422,18 +413,14 @@ class StoreEngine:
                         f"{len(findings)} check(s)", tuple(findings))
                 t2 = clock()
                 version, t3, t4 = self._install_locked(
-                    txn, head, index, changes, writes, candidate, clock)
-        except TransactionConflict:
-            if counters is not None:
-                counters["conflicts"].inc()
-            raise
+                    txn, head, index, changes, candidate, clock)
         except CommitRejected:
             if counters is not None:
                 counters["rejected"].inc()
             raise
         if counters is not None:
             counters["commits"].inc()
-            self._record_commit(version, writes,
+            self._record_commit(version, changes,
                                 t0, t1, t2, t3, t4, clock())
         return version
 
@@ -471,20 +458,19 @@ class StoreEngine:
         self._obs_counters = {
             "commits": metrics.counter("store.commits"),
             "noops": metrics.counter("store.commit_noops"),
-            "conflicts": metrics.counter("store.commit_conflicts"),
             "rejected": metrics.counter("store.commit_rejected"),
-            "retries": metrics.counter("store.commit_retries"),
             "slow": metrics.counter("store.slow_commits"),
         }
         if self.wal is not None:
             self.wal.probe = WalProbe(metrics)
 
-    def _record_commit(self, version: Version, writes: frozenset | None,
+    def _record_commit(self, version: Version, changes,
                        t0: float, t1: float, t2: float, t3: float,
                        t4: float, t5: float) -> None:
         """Bookkeeping for one landed commit, outside the critical
         section: phase histograms, one trace in the ring, and — past
-        the threshold — a structured slow-commit record."""
+        the threshold — a structured slow-commit record naming the
+        lhs-groups the commit touched."""
         rebase, validate = t1 - t0, t2 - t1
         derive, wal_append = t3 - t2, t4 - t3
         total = t5 - t0
@@ -503,11 +489,13 @@ class StoreEngine:
                 return {"name": name, "start": start, "end": end,
                         "duration": end - start, "tags": tags,
                         "spans": []}
+            rows = None if changes.replaced else (
+                sum(map(len, changes.added.values()))
+                + sum(map(len, changes.removed.values())))
             tracer.record({
                 "name": "store.commit",
                 "start": t0, "end": t5, "duration": total,
-                "tags": {"version": version.vid,
-                         "groups": None if writes is None else len(writes)},
+                "tags": {"version": version.vid, "rows": rows},
                 "spans": [
                     phase("commit.rebase", t0, t1),
                     phase("commit.validate", t1, t2),
@@ -518,6 +506,7 @@ class StoreEngine:
         threshold = self.slow_commit_threshold
         if threshold is not None and total >= threshold:
             self._obs_counters["slow"].inc()
+            writes = write_footprint(self.plan, changes)
             self.slow_commits.append({
                 "version": version.vid,
                 "at": t5,
@@ -530,8 +519,8 @@ class StoreEngine:
             })
 
     def _install_locked(self, txn: Transaction, head: Version, index,
-                        changes, writes: frozenset | None,
-                        candidate: DatabaseExtension | None, clock):
+                        changes, candidate: DatabaseExtension | None,
+                        clock):
         """Install one commit (engine lock held): derive the successor
         unless validation already did, log it, advance the graph and the
         head's probe index, and apply the checkpoint cadence.  The WAL
@@ -547,8 +536,8 @@ class StoreEngine:
             self.wal.append(commit_record(
                 self.graph.next_vid(), head.vid, txn.branch, txn.ops))
         t4 = clock()
-        version = self.graph.add_commit(head, candidate, writes,
-                                        tuple(txn.ops), txn.branch)
+        version = self.graph.add_commit(head, candidate, tuple(txn.ops),
+                                        txn.branch)
         if index is not None:
             index.apply(changes, candidate)
         txn.committed = True
@@ -557,24 +546,6 @@ class StoreEngine:
             if self._commits_since_checkpoint >= self.checkpoint_every:
                 self._checkpoint_locked()
         return version, t3, t4
-
-    def _check_conflicts(self, txn: Transaction, head: Version,
-                         writes: frozenset | None) -> None:
-        span = self.graph.span(txn.base.vid, head)
-        if span is None:
-            raise StoreError(
-                f"base version {txn.base.vid} is not an ancestor of the "
-                f"{txn.branch!r} head {head.vid}")
-        for version in span:
-            if writes is None or version.writes is None:
-                raise TransactionConflict(
-                    f"unbounded footprint overlaps commit {version.vid}")
-            overlap = writes & version.writes
-            if overlap:
-                raise TransactionConflict(
-                    f"footprint overlaps commit {version.vid} on "
-                    f"{len(overlap)} group(s)",
-                    keys=tuple(sorted(overlap, key=repr)))
 
     def _validate(self, head_state: DatabaseExtension, changes, index):
         """(candidate, findings) for one delta: the full audit of the
@@ -679,11 +650,8 @@ class StoreEngine:
 
         The WAL is untouched (prune it separately after a checkpoint);
         version ids stay monotone, so WAL replay is unaffected.  A
-        transaction begun before a collection whose base version was
-        collected can no longer be conflict-checked and fails with
-        :class:`StoreError` — size ``keep`` to cover the transactions
-        you allow in flight, and pin snapshots readers hold long-term.
-        Returns ``{"before", "after", "collected", "pinned",
+        transaction holds no version, so ``keep`` only has to cover
+        readers; pin the snapshots readers hold long-term.  Returns ``{"before", "after", "collected", "pinned",
         "floors"}`` statistics.
         """
         if keep < 1:
@@ -812,7 +780,9 @@ class StoreEngine:
         records as its WAL cursor yields them.  ``commit`` records
         return the installed :class:`Version` (re-gated through the
         normal validation when ``verify`` is set, trusted otherwise) and
-        raise on version-id drift; ``branch`` records create the branch;
+        raise on drift — a ``parent`` that is not the branch head, or a
+        version id the graph does not produce; ``branch`` records
+        create the branch;
         ``checkpoint`` records are consistency-checked against the graph
         built so far and return ``None``.
         """
@@ -838,9 +808,14 @@ class StoreEngine:
             return None
         if kind != "commit":
             raise StoreError(f"unknown WAL record type {kind!r}")
-        parent = self.graph.get(record["parent"])
-        txn = Transaction.from_records(self.schema, parent,
-                                       record["branch"], record["ops"])
+        head = self.graph.head(record["branch"])
+        if record["parent"] != head.vid:
+            raise StoreError(
+                f"replay drift: WAL says {record['version']} commits onto "
+                f"{record['parent']}, the {record['branch']!r} head is "
+                f"{head.vid}")
+        txn = Transaction.from_records(self.schema, record["branch"],
+                                       record["ops"])
         if verify:
             version = self.commit(txn)
         else:
@@ -959,15 +934,14 @@ class StoreEngine:
 
     def _install_unverified(self, txn: Transaction) -> Version:
         """Re-apply a logged commit without re-judging it (replay trusts
-        its own log); states and footprints are still re-derived, so the
-        rebuilt graph is structurally identical."""
+        its own log); states are still re-derived, so the rebuilt graph
+        is structurally identical."""
         with self._lock:
             head = self.graph.head(txn.branch)
             index = self._indexes.get(txn.branch)
             changes = txn.net_changes(head.state, index)
             version, _, _ = self._install_locked(
-                txn, head, index, changes, write_footprint(self.plan, changes),
-                None, _ZERO_CLOCK)
+                txn, head, index, changes, None, _ZERO_CLOCK)
             return version
 
     def close(self) -> None:

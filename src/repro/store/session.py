@@ -6,18 +6,15 @@ whose state is an immutable value, so a reader holding ``v7`` keeps
 seeing ``v7`` however far the head advances — multi-version concurrency
 the cheap way, because the data structure is already persistent.
 
-Writes go through the engine's optimistic gate; :meth:`Session.commit`
-wraps the retry loop a conflict calls for (rebase onto the new head and
-try again — disjoint writers never loop, contended writers resolve in
-footprint order).  :class:`SessionService` is the thread-safe factory a
-server hands each connection.
+Writes go through the engine's one commit rule: a transaction's ops
+are netted, validated and installed against the branch head under the
+engine lock, so a commit never has to be retried — it either lands on
+the current head or is rejected on its merits.
 """
 
 from __future__ import annotations
 
-import threading
-
-from repro.errors import StoreError, TransactionConflict
+from repro.errors import StoreError
 from repro.relational import Relation
 from repro.store.engine import StoreEngine
 from repro.store.txn import Transaction
@@ -38,6 +35,7 @@ class Session:
     __slots__ = ("engine", "branch", "_pins", "_closed")
 
     def __init__(self, engine: StoreEngine, branch: str = "main"):
+        engine.head_version(branch)  # fail fast on unknown branches
         self.engine = engine
         self.branch = branch
         self._pins: list[Version] = []
@@ -87,17 +85,12 @@ class Session:
         return tuple(self._pins)
 
     def close(self) -> None:
-        """Close the session: release every pin and mark it closed.
+        """Close the session: release every pin and mark it closed, so
+        :meth:`begin` and :meth:`commit` refuse further work.
 
-        Idempotent, and safe to call from a *different* thread than one
-        blocked inside :meth:`commit` — that is exactly the disconnect
-        path a server takes.  A commit retry loop in flight observes the
-        flag at its next conflict and surfaces the pending
-        :class:`~repro.errors.TransactionConflict` instead of retrying
-        against an engine whose connection is gone.  Pin release is
-        best-effort when the engine itself was torn down (its version
-        table may already be collected), but the pin list is always
-        cleared.
+        Idempotent.  Pin release is best-effort when the engine itself
+        was torn down (its version table may already be collected), but
+        the pin list is always cleared.
         """
         self._closed = True
         try:
@@ -127,51 +120,21 @@ class Session:
     # writes
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
-        """A transaction pinned at the branch's current head."""
+        """A transaction on this session's branch."""
         if self._closed:
             raise StoreError("session is closed")
         return self.engine.begin(self.branch)
 
-    def commit(self, txn: Transaction, max_retries: int = 16) -> Version:
-        """Commit with automatic conflict retries.
-
-        A :class:`~repro.errors.TransactionConflict` means another
-        writer's footprint landed first; the transaction is rebased onto
-        the new head and retried (its buffered operations are data, so
-        rebasing is free).  :class:`~repro.errors.CommitRejected` is
-        *not* retried — a semantic violation does not heal by waiting.
-
-        Two teardown races surface the conflict instead of swallowing
-        it: a session closed mid-retry (server disconnect) stops
-        retrying immediately, and an engine torn down between the
-        conflict and the rebase (its branch heads gone) re-raises the
-        conflict with the teardown error chained — the caller learns
-        *why* the commit did not land, not merely that a lookup failed.
-        """
+    def commit(self, txn: Transaction) -> Version:
+        """Commit ``txn`` onto the branch head (see
+        :meth:`StoreEngine.commit`)."""
         if self._closed:
             raise StoreError("session is closed")
-        attempt = txn
-        conflict: TransactionConflict | None = None
-        for _ in range(max_retries):
-            try:
-                return self.engine.commit(attempt)
-            except TransactionConflict as exc:
-                conflict = exc
-                if self._closed:
-                    raise
-                try:
-                    head = self.engine.head_version(self.branch)
-                except StoreError as gone:
-                    raise conflict from gone
-                counters = self.engine._obs_counters
-                if counters is not None:
-                    counters["retries"].inc()
-                attempt = attempt.rebased(head)
-        return self.engine.commit(attempt)
+        return self.engine.commit(txn)
 
-    def run(self, ops, max_retries: int = 16) -> Version:
+    def run(self, ops) -> Version:
         """Convenience: buffer ``(kind, relation, row_or_rows)`` op specs
-        into a fresh transaction and commit it with retries."""
+        into a fresh transaction and commit it."""
         txn = self.begin()
         for spec in ops:
             kind, relation, payload = spec[0], spec[1], spec[2]
@@ -186,51 +149,4 @@ class Session:
                 txn.replace(relation, payload)
             else:
                 raise ValueError(f"unknown op kind {kind!r}")
-        return self.commit(txn, max_retries=max_retries)
-
-
-class SessionService:
-    """Hands out sessions over one engine — a server's front door.
-
-    Sessions are cheap; the service exists so connection handling code
-    never touches the engine's internals.  It remembers every live
-    session it handed out, so a server shutting down can
-    :meth:`close_all` — releasing pins and flipping each session's
-    closed flag, which makes commit retry loops still in flight on
-    executor threads surface their pending conflicts instead of
-    retrying into a torn-down engine.
-    """
-
-    __slots__ = ("engine", "_sessions", "_lock")
-
-    def __init__(self, engine: StoreEngine):
-        self.engine = engine
-        self._sessions: list[Session] = []
-        self._lock = threading.Lock()
-
-    def session(self, branch: str = "main") -> Session:
-        self.engine.head_version(branch)  # fail fast on unknown branches
-        session = Session(self.engine, branch)
-        with self._lock:
-            self._sessions = [s for s in self._sessions if not s.closed]
-            self._sessions.append(session)
-        return session
-
-    def live_sessions(self) -> tuple[Session, ...]:
-        """The sessions handed out and not yet closed (diagnostics and
-        the server's connection accounting)."""
-        with self._lock:
-            self._sessions = [s for s in self._sessions if not s.closed]
-            return tuple(self._sessions)
-
-    def close_all(self) -> None:
-        """Close every live session (the server-shutdown sweep); pin
-        release is best-effort per session, but every session ends up
-        marked closed."""
-        with self._lock:
-            sessions, self._sessions = self._sessions, []
-        for session in sessions:
-            try:
-                session.close()
-            except StoreError:
-                pass  # engine already torn down; flag is set regardless
+        return self.commit(txn)

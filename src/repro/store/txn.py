@@ -1,11 +1,11 @@
 """Transactions: buffered updates, net deltas, and commit validation.
 
 A :class:`Transaction` buffers ``insert``/``delete``/``remove``/
-``replace`` calls against a pinned base version.  Nothing touches shared
-state until the engine commits it; at commit time the buffered
-operations are expanded — against the *current branch head*, not the
-possibly stale base — into their net row effect (:class:`Changes`),
-which lands as one :meth:`~repro.core.extension.DatabaseExtension.apply_changes`
+``replace`` calls for one branch.  Nothing touches shared state until
+the engine commits it; at commit time, under the engine lock, the
+buffered operations are expanded against the *current branch head*
+into their net row effect (:class:`Changes`), which lands as one
+:meth:`~repro.core.extension.DatabaseExtension.apply_changes`
 derivation step.
 
 Commit validation is the store's half of the paper's axiom programme:
@@ -24,14 +24,11 @@ need only judge the checks its delta can disturb:
   mirror of :meth:`repro.kernel.CheckSet.recheck`'s dirty-lhs-group
   sweep (same granularity as :func:`repro.kernel.dirty_group_keys`).
 * :func:`write_footprint` projects the delta's rows through the same
-  probe family, yielding the ``(relation, attrs, projected-row)``
-  conflict keys of optimistic concurrency: two commits whose footprints
-  are disjoint cannot disturb each other's probes, so disjoint writers
-  commit without re-serialising behind each other's validation.
+  probe family, yielding the ``(relation, attrs, projected-row)`` group
+  keys the commit touched — what the engine's slow-commit log reports.
 
-A wholesale ``replace`` has no bounded footprint; the engine validates
-such commits with a full dirty-context audit and gives them a ``None``
-(conflicts-with-everything) footprint.
+A wholesale ``replace`` has no bounded footprint (``None``); the engine
+validates such commits with a full dirty-context audit.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from repro.core.integrity import (
 )
 from repro.errors import ExtensionError, StoreError
 from repro.relational import Relation, Tuple
-from repro.store.version_graph import Version
 
 _EMPTY: frozenset = frozenset()
 
@@ -80,21 +76,19 @@ class Op:
 
 
 class Transaction:
-    """Buffered updates against a pinned base version.
+    """Buffered updates for one branch.
 
     Buffer methods validate shape and domain membership immediately (a
     malformed row is a caller bug, reported as :class:`ExtensionError`
-    at the call site); semantic validation happens at commit.  The
-    object is single-use: once committed it cannot be reused, but
-    :meth:`rebased` produces a fresh transaction with the same buffered
-    operations against a newer head (the conflict-retry path).
+    at the call site); semantic validation happens at commit, against
+    whatever head the branch has then.  The object is single-use: once
+    committed it cannot be reused.
     """
 
-    __slots__ = ("schema", "base", "branch", "ops", "committed")
+    __slots__ = ("schema", "branch", "ops", "committed")
 
-    def __init__(self, schema, base: Version, branch: str = "main"):
+    def __init__(self, schema, branch: str = "main"):
         self.schema = schema
-        self.base = base
         self.branch = branch
         self.ops: list[Op] = []
         self.committed = False
@@ -142,12 +136,6 @@ class Transaction:
             self._validated(relation, r) for r in rows)))
         return self
 
-    def rebased(self, new_base: Version) -> "Transaction":
-        """The same buffered operations against a newer base version."""
-        twin = Transaction(self.schema, new_base, self.branch)
-        twin.ops = list(self.ops)
-        return twin
-
     def apply_records(self, records: Iterable[Mapping]) -> "Transaction":
         """Buffer operations given in WAL-record form.
 
@@ -186,11 +174,11 @@ class Transaction:
         return self
 
     @classmethod
-    def from_records(cls, schema, base: Version, branch: str,
+    def from_records(cls, schema, branch: str,
                      records: Iterable[Mapping]) -> "Transaction":
         """Rebuild a transaction from WAL op records (see
         :meth:`apply_records`)."""
-        return cls(schema, base, branch).apply_records(records)
+        return cls(schema, branch).apply_records(records)
 
     # ------------------------------------------------------------------
     # net effect
@@ -321,10 +309,9 @@ class ValidationPlan:
 
     Built once per engine.  ``probe_family[name]`` is the set of
     attribute sets through which *any* extension-level check reads
-    relation ``name``; it is simultaneously the read granularity of
-    :func:`validate_changes` and the write granularity of
-    :func:`write_footprint`, which is what makes disjoint-footprint
-    commits commute with each other's validation.
+    relation ``name``; it is both the read granularity of
+    :func:`validate_changes` and the group granularity
+    :func:`write_footprint` reports at.
 
     ``incremental_ok`` is ``False`` when the constraint set contains a
     kind the plan cannot factor through bounded probes (a custom
@@ -396,9 +383,9 @@ class ValidationPlan:
 
 
 def write_footprint(plan: ValidationPlan, changes: Changes) -> frozenset | None:
-    """The commit's conflict keys: every changed row projected through
-    its relation's probe family — ``(relation, attrs, projected-row)``
-    triples at the same lhs-group granularity ``CheckSet.recheck``
+    """The lhs-groups a commit touched: every changed row projected
+    through its relation's probe family — ``(relation, attrs,
+    projected-row)`` triples at the same granularity ``CheckSet.recheck``
     re-sweeps at.  ``None`` (unbounded) for replace-carrying commits.
     """
     if changes.replaced:

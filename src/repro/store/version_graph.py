@@ -25,24 +25,19 @@ from repro.errors import StoreError
 class Version:
     """One committed state: a node of the version graph.
 
-    ``writes`` is the commit's conflict footprint — the frozenset of
-    ``(relation, attrs, projected-row)`` group keys its delta touched —
-    or ``None`` for a wholesale-replace commit, which conflicts with
-    every concurrent writer.  ``ops`` keeps the committed operations in
-    buffer order (what the write-ahead log records and ``replay``
-    re-applies).
+    ``ops`` keeps the committed operations in buffer order (what the
+    write-ahead log records and ``replay`` re-applies).
     """
 
-    __slots__ = ("vid", "parent", "branch", "seq", "state", "writes", "ops")
+    __slots__ = ("vid", "parent", "branch", "seq", "state", "ops")
 
     def __init__(self, vid: str, parent: "Version | None", branch: str,
-                 seq: int, state, writes: frozenset | None, ops: tuple):
+                 seq: int, state, ops: tuple):
         self.vid = vid
         self.parent = parent
         self.branch = branch
         self.seq = seq
         self.state = state
-        self.writes = writes
         self.ops = ops
 
     def __repr__(self) -> str:
@@ -79,7 +74,7 @@ class VersionGraph:
                 f"sequence counter {seq} behind root id {root_vid!r}")
         self._seq = seq
         self.root = Version(root_vid, None, branch, root_seq, root_state,
-                            frozenset(), ())
+                            ())
         self.versions: dict[str, Version] = {root_vid: self.root}
         self.heads: dict[str, Version] = {branch: self.root}
 
@@ -121,21 +116,6 @@ class VersionGraph:
         chain.reverse()
         return chain
 
-    def span(self, base_vid: str, head: Version) -> list[Version] | None:
-        """The versions committed strictly after ``base_vid`` on the path
-        down from ``head`` (newest first), or ``None`` when ``base_vid``
-        is not an ancestor of ``head`` — the interval an optimistic
-        committer must conflict-check its footprint against.
-        """
-        out: list[Version] = []
-        node: Version | None = head
-        while node is not None:
-            if node.vid == base_vid:
-                return out
-            out.append(node)
-            node = node.parent
-        return None
-
     def log(self, branch: str | None = None) -> Iterator[Version]:
         """Versions in commit order (root first); one branch's lineage
         when ``branch`` is given, the whole graph otherwise."""
@@ -152,17 +132,17 @@ class VersionGraph:
         record must carry *before* the in-memory commit happens."""
         return f"v{self._seq + 1}"
 
-    def add_commit(self, parent: Version, state, writes: frozenset | None,
-                   ops: tuple, branch: str) -> Version:
+    def add_commit(self, parent: Version, state, ops: tuple,
+                   branch: str) -> Version:
         """Append one committed state under ``parent`` and advance the
         branch head.  ``parent`` must be the current head of ``branch``
-        (the engine's optimistic control has already rebased)."""
+        (the engine nets every commit against the head it installs on)."""
         if self.heads.get(branch) is not parent:
             raise StoreError(
                 f"commit parent {parent.vid} is not the head of {branch!r}")
         self._seq += 1
         version = Version(f"v{self._seq}", parent, branch, self._seq,
-                          state, writes, ops)
+                          state, ops)
         self.versions[version.vid] = version
         self.heads[branch] = version
         return version
@@ -188,8 +168,7 @@ class VersionGraph:
                 raise StoreError(
                     f"floor version {vid!r} is ahead of the sequence "
                     f"counter {self._seq} (drifted checkpoint)")
-            version = Version(vid, None, branch, seq, state,
-                              frozenset(), ())
+            version = Version(vid, None, branch, seq, state, ())
             self.versions[vid] = version
         self.heads[branch] = version
         return version

@@ -87,7 +87,8 @@ def manager_stream(n: int, count: int) -> list[dict]:
     each row projects onto an existing ``worksfor`` row, so inserting
     any subset keeps every axiom satisfied; distinct ``pname`` per row
     means distinct rows are footprint-disjoint (different lhs-groups of
-    every probe set), so partitioned writers never conflict.
+    every probe set), so partitioned writers never touch each other's
+    groups.
     """
     dept_of = [(i * 3 + 1) % n for i in range(n)]
     slots = [i for i in range(n) if i % 3]
@@ -119,9 +120,9 @@ def contended_commit_specs(rows: list[dict], writers: int,
                            relation: str = "manager",
                            ) -> list[list[list[tuple]]]:
     """Every writer gets *every* row (insert-wins races on identical
-    rows plus footprint collisions) — the conflict-heavy mix.  Duplicate
+    rows plus footprint collisions) — the contended mix.  Duplicate
     inserts net to no-ops; the interesting part is that the store stays
-    serializable while writers collide and retry."""
+    serializable while writers collide."""
     return [[[("insert", relation, row)] for row in rows]
             for _ in range(writers)]
 

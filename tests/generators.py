@@ -278,7 +278,7 @@ def audit_oracle(engine, ops) -> tuple:
     txn = engine.begin()
     for spec in ops:
         getattr(txn, spec[0])(*spec[1:])
-    head = txn.base.state
+    head = engine.state(branch=txn.branch)
     changes = txn.net_changes(head)
     if not changes:
         return "noop", txn, head

@@ -115,8 +115,8 @@ class TestServeLogReplay:
                          "--wal", str(wal), "--seed", "3", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["audit"]["ok"] is True
-        assert data["committed"] + data["rejected"] + data["conflicts"] \
-            + data["noop"] == 30
+        assert "conflicts" not in data
+        assert data["committed"] + data["rejected"] + data["noop"] == 30
         assert data["versions"] == data["committed"] + 1
         assert wal.exists()
 
@@ -306,13 +306,13 @@ class TestCheckpointGc:
 @pytest.fixture
 def committed_wal(tmp_path):
     """A closed primary WAL with one committed write."""
-    from repro.store import SessionService, StoreEngine
+    from repro.store import Session, StoreEngine
     from repro.workloads import manager_stream, serving_state
 
     schema, db, constraints = serving_state(8)
     wal = tmp_path / "primary.jsonl"
     engine = StoreEngine(db, constraints, wal=wal)
-    session = SessionService(engine).session()
+    session = Session(engine)
     session.run([("insert", "manager", manager_stream(8, 1)[0])])
     engine.close()
     return wal
@@ -435,11 +435,11 @@ class TestOneLayout:
 
     def test_migration_recipe(self, committed_wal, tmp_path, capsys):
         from repro.server import ReplicaEngine, promote
-        from repro.store import SessionService, StoreEngine, WriteAheadLog
+        from repro.store import Session, StoreEngine, WriteAheadLog
         from repro.workloads import manager_stream
 
         promoted = promote(ReplicaEngine(committed_wal))
-        SessionService(promoted).session().run(
+        Session(promoted).run(
             [("insert", "manager", manager_stream(8, 2)[1])])
         promoted.close()
         old = _one_file_log(committed_wal, tmp_path / "old.wal")

@@ -33,7 +33,7 @@ from repro.server import (
     engine_probe,
     wire_probe,
 )
-from repro.store import SessionService, StoreEngine
+from repro.store import Session, StoreEngine
 from repro.workloads import manager_stream, serving_state
 
 from generators import chaos_seeds, last_segment
@@ -45,7 +45,7 @@ def _mk_engine(n=30, **kwargs):
 
 
 def _commit_rows(engine, rows, branch="main"):
-    session = SessionService(engine).session(branch)
+    session = Session(engine, branch)
     return [session.commit(session.begin().insert("manager", row))
             for row in rows]
 

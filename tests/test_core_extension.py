@@ -142,8 +142,8 @@ class TestEquality:
 
 
 class TestChainCap:
-    """The delta-chain severing cap (DatabaseExtension keyword +
-    REPRO_CHAIN_CAP env var, default 1024)."""
+    """The delta-chain severing cap (DatabaseExtension keyword,
+    default 1024)."""
 
     def test_default_cap(self, db):
         from repro.core.extension import DEFAULT_CHAIN_CAP
@@ -183,16 +183,6 @@ class TestChainCap:
         for row in rows:
             uncapped = uncapped.insert("person", row)
         assert current == uncapped
-
-    def test_cap_from_environment(self, schema, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAIN_CAP", "3")
-        db = DatabaseExtension(schema)
-        assert db._chain_cap == 3
-        assert db.insert("person", {"name": "fay", "age": 28})._chain_cap == 3
-
-    def test_explicit_cap_beats_environment(self, schema, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAIN_CAP", "3")
-        assert DatabaseExtension(schema, chain_cap=7)._chain_cap == 7
 
     def test_invalid_cap_rejected(self, schema):
         with pytest.raises(ValueError):

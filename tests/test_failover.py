@@ -34,7 +34,7 @@ from repro.server import (
     StoreServer,
     promote,
 )
-from repro.store import SessionService, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads import manager_stream, serving_state
 
 from generators import chaos_seeds, last_segment
@@ -46,7 +46,7 @@ def _mk_engine(n=30, **kwargs):
 
 
 def _commit_rows(engine, rows, branch="main"):
-    session = SessionService(engine).session(branch)
+    session = Session(engine, branch)
     return [session.commit(session.begin().insert("manager", row))
             for row in rows]
 

@@ -22,7 +22,7 @@ from repro.faults import (
 )
 from repro.io import encode_frame, split_frames
 from repro.server import StoreClient, StoreServer
-from repro.store import SessionService, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads import manager_stream, serving_state
 
 from generators import chaos_seeds, last_segment
@@ -34,7 +34,7 @@ def _mk_engine(n=30, **kwargs):
 
 
 def _commit_rows(engine, rows):
-    session = SessionService(engine).session("main")
+    session = Session(engine, "main")
     return [session.commit(session.begin().insert("manager", row))
             for row in rows]
 

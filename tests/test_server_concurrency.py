@@ -5,15 +5,14 @@ bound under sustained writes.
 The claim under test is that putting the wire between clients and the
 store changes *nothing* about the concurrency contract: N socket
 clients hammering contended commits through the asyncio front end — via
-the commit-slot backpressure semaphore and per-connection sessions —
-must leave a graph that replays serially to the identical state, just
+the commit-slot backpressure semaphore — must leave a graph that
+replays serially to the identical state, just
 as the in-process threads of ``test_store_concurrency`` do.  On top of
 that, a replica tailing the primary's WAL while the writers run must
 stay within a byte-staleness bound and converge exactly once the
 writers stop.
 
-Also here: the disconnect-mid-commit teardown race (the
-``Session.close`` fix) exercised over real connections.
+Also here: clients that disconnect mid-commit over real connections.
 """
 
 import random
@@ -21,9 +20,9 @@ import threading
 
 import pytest
 
-from repro.errors import CommitRejected, StoreError, TransactionConflict
+from repro.errors import CommitRejected, StoreError
 from repro.server import ClientPool, ReplicaEngine, StoreClient, StoreServer
-from repro.store import SessionService, StoreEngine, Transaction, WriteAheadLog
+from repro.store import StoreEngine, Transaction, WriteAheadLog
 from repro.workloads import (
     contended_commit_specs,
     disjoint_commit_specs,
@@ -46,7 +45,7 @@ def _assert_serializable(engine, branch="main"):
     versions = list(engine.graph.log(branch))
     state = versions[0].state
     for version in versions[1:]:
-        txn = Transaction(engine.schema, None, branch)
+        txn = Transaction(engine.schema, branch)
         txn.ops = list(version.ops)
         changes = txn.net_changes(state)
         state = state.apply_changes(changes.added, changes.removed,
@@ -76,12 +75,12 @@ def _drive_over_wire(server, per_writer_specs, engine):
     growth (per-client attribution races, as in the in-process
     harness)."""
     before = len(engine.graph)
-    counts = {"rejected": 0, "conflicts": 0}
+    counts = {"rejected": 0}
     tally = threading.Lock()
     errors = []
 
     def worker(specs):
-        rejected = conflicts = 0
+        rejected = 0
         try:
             with StoreClient(*server.address) as client:
                 for ops in specs:
@@ -89,14 +88,11 @@ def _drive_over_wire(server, per_writer_specs, engine):
                         client.run(_specs_to_records(ops))
                     except CommitRejected:
                         rejected += 1
-                    except TransactionConflict:
-                        conflicts += 1  # server-side retries exhausted
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
             return
         with tally:
             counts["rejected"] += rejected
-            counts["conflicts"] += conflicts
 
     threads = [threading.Thread(target=worker, args=(specs,))
                for specs in per_writer_specs]
@@ -112,7 +108,7 @@ def _drive_over_wire(server, per_writer_specs, engine):
 class TestWireSerializability:
     def test_disjoint_writers_over_sockets(self):
         """Footprint-disjoint writers over N connections: every commit
-        lands, nothing conflicts, and the graph replays serially."""
+        lands, nothing is rejected, and the graph replays serially."""
         n, writers, per_writer = 120, 4, 8
         engine = _engine(n)
         specs = disjoint_commit_specs(
@@ -126,8 +122,9 @@ class TestWireSerializability:
 
     def test_contended_writers_over_sockets(self):
         """Every client races to insert the same rows through a small
-        commit-slot pool: collisions retry server-side, duplicates net
-        to no-ops, and the result equals one serial pass."""
+        commit-slot pool: each commit lands on the head it finds,
+        duplicates net to no-ops, and the result equals one serial
+        pass."""
         n, writers = 120, 6
         engine = _engine(n)
         rows = manager_stream(n, 10)
@@ -144,8 +141,7 @@ class TestWireSerializability:
 
     def test_mixed_random_traffic_over_pool(self):
         """Random mixed transactions through a bounded ClientPool —
-        rejections and conflicts are traffic; serializability is the
-        invariant."""
+        rejections are traffic; serializability is the invariant."""
         n, writers = 80, 5
         engine = _engine(n)
         rng = random.Random(11)
@@ -162,9 +158,7 @@ class TestWireSerializability:
                         with pool.acquire() as client:
                             try:
                                 client.run(_specs_to_records(ops))
-                            except (CommitRejected,
-                                    TransactionConflict,
-                                    StoreError):
+                            except (CommitRejected, StoreError):
                                 pass  # rejected traffic is traffic
                 except Exception as exc:  # pragma: no cover
                     counts["errors"].append(exc)
@@ -287,8 +281,8 @@ class TestReplicaUnderLoad:
 class TestDisconnectTeardown:
     def test_disconnect_mid_commit_releases_cleanly(self):
         """Clients that slam the connection shut right after (or while)
-        issuing commits must not wedge the server: sessions are closed,
-        pins released, and the surviving graph still serializes."""
+        issuing commits must not wedge the server: the server keeps
+        serving, and the surviving graph still serializes."""
         n = 120
         engine = _engine(n)
         rows = manager_stream(n, 24)
@@ -304,62 +298,10 @@ class TestDisconnectTeardown:
                 else:
                     client.recv_message()
                     client.close()
-            # the server still serves; sessions were swept
+            # the server still serves
             with StoreClient(*server.address) as probe:
                 assert probe.ping()
                 status = probe.status()
                 assert status["connections"] >= 1
         _assert_serializable(engine)
         assert engine.audit().ok()
-
-    def test_session_close_mid_commit_surfaces_conflict(self):
-        """The Session.close fix, driven directly: a commit retry loop
-        in flight on another thread observes the closed flag at its
-        next conflict and surfaces the TransactionConflict instead of
-        retrying forever against a torn-down connection."""
-        import time
-
-        n = 120
-        engine = _engine(n)
-        service = SessionService(engine)
-        victim = service.session()
-        victim.pin()
-        txn = victim.begin()
-        txn.insert("manager", manager_stream(n, 1)[0])
-
-        # Force the retry loop to spin: every commit attempt conflicts.
-        calls = {"n": 0}
-
-        def always_conflict(attempt):
-            calls["n"] += 1
-            raise TransactionConflict("forced contention", keys=())
-
-        engine.commit = always_conflict  # instance shadow, test-only
-        outcome = {}
-
-        def committer():
-            try:
-                outcome["version"] = victim.commit(txn, max_retries=10**9)
-            except TransactionConflict as exc:
-                outcome["conflict"] = exc
-            except StoreError as exc:
-                outcome["other"] = exc
-
-        t = threading.Thread(target=committer)
-        t.start()
-        deadline = time.monotonic() + 5.0
-        while calls["n"] < 50 and time.monotonic() < deadline:
-            time.sleep(0.001)  # let the loop demonstrably spin
-        assert calls["n"] >= 50, "retry loop never got going"
-        victim.close()  # the disconnect path, from another thread
-        t.join(5.0)
-        assert not t.is_alive(), "retry loop failed to observe close()"
-        # the in-flight conflict surfaced; nothing was swallowed
-        assert "conflict" in outcome
-        assert str(outcome["conflict"]) == "forced contention"
-        assert not victim.pins()  # pins released by the close
-        assert service.live_sessions() == ()
-
-        # and a commit after close is refused immediately
-        with pytest.raises(StoreError, match="closed"):
-            victim.commit(txn)

@@ -28,7 +28,6 @@ from repro.errors import (
     ExtensionError,
     ProtocolError,
     StoreError,
-    TransactionConflict,
 )
 from repro.io import FRAME_HEADER, encode_frame, FrameDecoder
 from repro.server import ReplicaEngine, StoreClient, StoreServer
@@ -155,16 +154,6 @@ class TestErrorBridge:
         with pytest.raises(CommitRejected) as caught:
             raise_for_error(payload)
         assert caught.value.findings == findings
-
-    def test_conflict_round_trips_keys(self):
-        exc = TransactionConflict(
-            "lost the race",
-            keys=(("manager", frozenset({"pname"}), "row"),))
-        payload = error_payload(exc)
-        assert payload["code"] == "conflict"
-        with pytest.raises(TransactionConflict) as caught:
-            raise_for_error(payload)
-        assert caught.value.keys == (("manager", ["pname"], "'row'"),)
 
     @pytest.mark.parametrize("exc, code", [
         (StoreError("gone"), "store-error"),

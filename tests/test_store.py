@@ -22,10 +22,9 @@ from repro.errors import (
     CommitRejected,
     ExtensionError,
     StoreError,
-    TransactionConflict,
 )
 from repro.store import (
-    SessionService,
+    Session,
     StoreEngine,
     Transaction,
     ValidationPlan,
@@ -67,24 +66,21 @@ class TestVersionGraph:
         with pytest.raises(StoreError):
             g.head("nope")
 
-    def test_span_and_lineage(self):
+    def test_lineage(self):
         engine = _mk_engine()
-        session = SessionService(engine).session()
+        session = Session(engine)
         rows = manager_stream(60, 3)
         vids = [session.commit(
             session.begin().insert("manager", r)).vid for r in rows]
         assert vids == ["v1", "v2", "v3"]
-        head = engine.head_version()
-        assert [v.vid for v in engine.graph.span("v1", head)] == ["v3", "v2"]
-        assert engine.graph.span("v3", head) == []
         assert [v.vid for v in engine.graph.lineage("v3")] == \
             ["v0", "v1", "v2", "v3"]
 
     def test_branching_isolates_heads(self):
         engine = _mk_engine()
         engine.branch("dev")
-        dev = SessionService(engine).session("dev")
-        main = SessionService(engine).session("main")
+        dev = Session(engine, "dev")
+        main = Session(engine, "main")
         row = manager_stream(60, 1)[0]
         v_dev = dev.commit(dev.begin().insert("manager", row))
         assert engine.head_version("dev") is v_dev
@@ -127,7 +123,7 @@ class TestTransactionBuffering:
             (schema, db), *_ = random_database_states(rng)
             specs = random_txn_specs(rng, db, 6)
             for ops in specs:
-                txn = Transaction(schema, None, "main")
+                txn = Transaction(schema, "main")
                 oracle = db
                 for spec in ops:
                     kind, rel, payload = spec[0], spec[1], spec[2]
@@ -147,7 +143,7 @@ class TestTransactionBuffering:
 class TestCommitGate:
     def test_clean_commit_accepted_and_audited(self):
         engine = _mk_engine()
-        session = SessionService(engine).session()
+        session = Session(engine)
         version = session.commit(
             session.begin().insert("manager", manager_stream(60, 1)[0]))
         assert version.vid == "v1"
@@ -227,7 +223,6 @@ class TestCommitGate:
         keep = sorted(state.R("manager").tuples, key=repr)[:3]
         version = engine.commit(
             engine.begin().replace("manager", [t.as_dict() for t in keep]))
-        assert version.writes is None
         assert len(engine.state().R("manager")) == 3
         assert engine.audit().ok()
 
@@ -242,7 +237,7 @@ class TestDeltaVsAuditEquivalence:
         rng = random.Random(seed)
         engine = _mk_engine(40)
         assert engine.validation == "delta"
-        session = SessionService(engine).session()
+        session = Session(engine)
         for ops in random_txn_specs(rng, engine.state(), 12):
             verdict, _, candidate = audit_oracle(engine, ops)
             try:
@@ -262,7 +257,7 @@ class TestDeltaVsAuditEquivalence:
     def test_committed_versions_always_audit_clean(self):
         rng = random.Random(99)
         engine = _mk_engine(40)
-        session = SessionService(engine).session()
+        session = Session(engine)
         for ops in random_txn_specs(rng, engine.state(), 20):
             try:
                 session.run(ops)
@@ -272,7 +267,11 @@ class TestDeltaVsAuditEquivalence:
             assert engine._audit(version.state).ok(), version.vid
 
 
-class TestOptimisticConcurrency:
+class TestCommitRule:
+    """Every commit's ops are netted, validated and installed against
+    the branch head under the engine lock, whatever the head was when
+    the transaction began."""
+
     def test_disjoint_writers_rebase_onto_each_other(self):
         engine = _mk_engine()
         rows = manager_stream(60, 2)
@@ -286,41 +285,6 @@ class TestOptimisticConcurrency:
         assert all(any(t["pname"] == r["pname"] for t in managers)
                    for r in rows)
         assert engine.audit().ok()
-
-    def test_overlapping_footprints_conflict(self):
-        engine = _mk_engine()
-        row = manager_stream(60, 1)[0]
-        a = engine.begin().insert("manager", row)
-        b = engine.begin().delete("manager", row)
-        engine.commit(a)
-        with pytest.raises(TransactionConflict) as exc:
-            engine.commit(b)
-        assert exc.value.keys
-
-    def test_replace_conflicts_with_everything(self):
-        engine = _mk_engine()
-        state = engine.state()
-        keep = [t.as_dict() for t in
-                sorted(state.R("manager").tuples, key=repr)]
-        a = engine.begin().insert("manager", manager_stream(60, 1)[0])
-        b = engine.begin().replace("manager", keep)
-        engine.commit(a)
-        with pytest.raises(TransactionConflict):
-            engine.commit(b)
-
-    def test_session_retry_resolves_conflicts(self):
-        engine = _mk_engine()
-        session = SessionService(engine).session()
-        row = manager_stream(60, 1)[0]
-        engine.commit(engine.begin().insert("manager", row))
-        txn = session.begin().delete("manager", row)
-        # make the base stale AND footprint-overlapping via a same-group
-        # second commit
-        stale = engine.begin().delete("manager", row)
-        stale.base = engine.graph.root
-        version = session.commit(stale)  # rebases through the conflict
-        assert version.vid == "v2"
-        assert txn  # unused txn does not disturb the store
 
     def test_footprint_granularity_is_lhs_groups(self):
         engine = _mk_engine()
@@ -340,7 +304,7 @@ class TestOptimisticConcurrency:
 class TestSessions:
     def test_snapshot_reads_are_pinned(self):
         engine = _mk_engine()
-        session = SessionService(engine).session()
+        session = Session(engine)
         pinned = session.snapshot()
         before = session.read("manager", at=pinned)
         session.commit(
@@ -351,11 +315,11 @@ class TestSessions:
     def test_unknown_branch_fails_fast(self):
         engine = _mk_engine()
         with pytest.raises(StoreError):
-            SessionService(engine).session("nope")
+            Session(engine, "nope")
 
     def test_close_releases_pins_and_refuses_new_work(self):
         engine = _mk_engine()
-        session = SessionService(engine).session()
+        session = Session(engine)
         pinned = session.pin()
         assert pinned.vid in engine.pinned()
         session.close()
@@ -366,55 +330,8 @@ class TestSessions:
         with pytest.raises(StoreError, match="closed"):
             session.begin()
         with pytest.raises(StoreError, match="closed"):
-            session.commit(Transaction(engine.schema,
-                                       engine.head_version(), "main"))
+            session.commit(Transaction(engine.schema, "main"))
 
-    def test_close_surfaces_inflight_conflict_not_swallowed(self):
-        """The disconnect race: a session closed while its commit is
-        mid-retry raises the pending TransactionConflict at the next
-        conflict instead of retrying on — staged by having the commit
-        attempt itself flip the flag, exactly where a cross-thread
-        close() lands."""
-        engine = _mk_engine()
-        session = SessionService(engine).session()
-        txn = session.begin().insert("manager", manager_stream(60, 1)[0])
-
-        def close_then_conflict(attempt):
-            session._closed = True  # the concurrent close() lands here
-            raise TransactionConflict("footprint overlap", keys=())
-
-        engine.commit = close_then_conflict  # instance shadow, test-only
-        with pytest.raises(TransactionConflict, match="footprint overlap"):
-            session.commit(txn, max_retries=10**9)
-
-    def test_close_all_sweeps_every_live_session(self):
-        engine = _mk_engine()
-        service = SessionService(engine)
-        sessions = [service.session() for _ in range(3)]
-        sessions[0].pin()
-        assert len(service.live_sessions()) == 3
-        service.close_all()
-        assert service.live_sessions() == ()
-        assert all(s.closed for s in sessions)
-        assert all(not s.pins() for s in sessions)
-
-    def test_conflict_chains_engine_teardown_cause(self):
-        """When the engine's branch head is gone mid-retry (service
-        torn down), the conflict is re-raised with the lookup failure
-        chained as its cause — the caller learns both facts."""
-        engine = _mk_engine()
-        session = SessionService(engine).session()
-        txn = session.begin().insert("manager", manager_stream(60, 1)[0])
-
-        def conflicted(attempt):
-            raise TransactionConflict("lost the race", keys=())
-
-        engine.commit = conflicted
-        engine.graph.heads.pop("main")  # simulate torn-down engine
-        with pytest.raises(TransactionConflict,
-                           match="lost the race") as caught:
-            session.commit(txn)
-        assert isinstance(caught.value.__cause__, StoreError)
 
 
 class TestValidationPlan:
@@ -459,7 +376,7 @@ class TestWalReplay:
     def test_wal_is_durable_and_ordered(self, tmp_path):
         path = tmp_path / "store.wal"
         engine = _mk_engine(30, wal=path)
-        session = SessionService(engine).session()
+        session = Session(engine)
         for row in manager_stream(30, 3):
             session.commit(session.begin().insert("manager", row))
         engine.close()
@@ -525,8 +442,7 @@ class TestWalReplay:
         (schema, db), *_ = random_database_states(rng, rows_per_leaf=2)
         path = tmp_path / "store.wal"
         engine = StoreEngine(db, (), wal=path)
-        service = SessionService(engine)
-        session = service.session()
+        session = Session(engine)
         for ops in random_txn_specs(rng, db, 14):
             try:
                 session.run(ops)
@@ -534,7 +450,7 @@ class TestWalReplay:
                 pass
         if len(engine.graph) > 3 and rng.random() < 0.5:
             engine.branch("side", at="v1")
-            side = service.session("side")
+            side = Session(engine, "side")
             try:
                 side.run(random_txn_specs(rng, db, 1)[0])
             except CommitRejected:
@@ -556,7 +472,7 @@ class TestWalReplay:
         first = tmp_path / "a.wal"
         second = tmp_path / "b.wal"
         engine = _mk_engine(30, wal=first)
-        session = SessionService(engine).session()
+        session = Session(engine)
         for row in manager_stream(30, 2):
             session.commit(session.begin().insert("manager", row))
         engine.close()
@@ -576,7 +492,7 @@ class TestStoreWithChainCap:
         capped = DatabaseExtension(
             schema, {e.name: db.R(e) for e in schema}, chain_cap=2)
         engine = StoreEngine(capped, constraints)
-        session = SessionService(engine).session()
+        session = Session(engine)
         for row in manager_stream(30, 4):
             session.commit(session.begin().insert("manager", row))
         assert engine.audit().ok()

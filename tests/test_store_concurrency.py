@@ -3,9 +3,9 @@
 The serializability oracle: after the threads finish, re-apply every
 committed version's logged operations *single-threaded*, in commit
 order, and demand the identical state at every version — which is
-exactly the claim the optimistic rebase makes (a commit admitted with a
-disjoint footprint equals the commit that would have happened serially
-at the head).
+exactly the claim of the one commit rule (every commit's ops are
+netted, validated and installed against the branch head under the
+engine lock, so the log *is* a serial schedule).
 
 The quick test runs in tier-1; the heavier mixes and the
 delta-vs-global-lock throughput gate live in the slow lane
@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import DatabaseExtension
 from repro.errors import CommitRejected
-from repro.store import SessionService, StoreEngine, Transaction
+from repro.store import Session, StoreEngine, Transaction, WriteAheadLog
 from repro.store.txn import findings_from_report
 from repro.workloads import (
     contended_commit_specs,
@@ -31,6 +31,8 @@ from repro.workloads import (
     random_txn_specs,
     serving_state,
 )
+
+from generators import random_database_states
 
 
 class GlobalLockEngine(StoreEngine):
@@ -54,24 +56,23 @@ def _engine(n, **kwargs):
     return StoreEngine(db, constraints, **kwargs)
 
 
-def _drive(engine, per_writer_specs, max_retries=64):
+def _drive(engine, per_writer_specs):
     """Run each writer's commit specs in its own thread; returns
     (committed, rejected) counts.  The committed count is read off
     graph growth — under concurrency a no-op commit returns a head
     another writer may have just advanced, so per-thread attribution
     would race."""
-    service = SessionService(engine)
     before = len(engine.graph)
     counts = {"rejected": 0}
     tally = threading.Lock()
     errors = []
 
     def worker(specs):
-        session = service.session()
+        session = Session(engine)
         rejected = 0
         for ops in specs:
             try:
-                session.run(ops, max_retries=max_retries)
+                session.run(ops)
             except CommitRejected:
                 rejected += 1
             except Exception as exc:  # surfaced below, not swallowed
@@ -96,7 +97,7 @@ def _assert_serializable(engine, branch="main"):
     versions = list(engine.graph.log(branch))
     state = versions[0].state
     for version in versions[1:]:
-        txn = Transaction(engine.schema, None, branch)
+        txn = Transaction(engine.schema, branch)
         txn.ops = list(version.ops)
         changes = txn.net_changes(state)
         state = state.apply_changes(changes.added, changes.removed,
@@ -119,12 +120,74 @@ class TestDisjointWriters:
         assert engine.audit().ok()
 
 
+def _buffer(txn, ops):
+    """Buffer ``(kind, relation, payload[, propagate])`` specs."""
+    for spec in ops:
+        getattr(txn, spec[0])(*spec[1:])
+    return txn
+
+
+class TestCommitRule:
+    """The differential form of the one commit rule: a transaction
+    buffered before k other commits lands exactly as the same ops
+    buffered at the head would."""
+
+    @staticmethod
+    def _moving_history(rng, db, count):
+        """At least ``count`` random op specs, drawn until one of them
+        commits — so the head the early transaction began at moves."""
+        engine = StoreEngine(db, ())
+        session = Session(engine)
+        history = []
+        while len(history) < count or len(engine.graph) == 1:
+            assert len(history) < 100, "no random commit landed"
+            ops = random_txn_specs(rng, db, 1)[0]
+            history.append(ops)
+            try:
+                session.run(ops)
+            except CommitRejected:
+                pass
+        return history
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_early_transaction_equals_head_transaction(self, seed,
+                                                       tmp_path):
+        rng = random.Random(seed)
+        (_, db), *_ = random_database_states(rng, rows_per_leaf=2)
+        probe = random_txn_specs(rng, db, 1)[0]
+        others = self._moving_history(rng, db, rng.randint(1, 8))
+        runs = {}
+        for mode in ("early", "head"):
+            wal = tmp_path / mode
+            engine = StoreEngine(db, (), wal=wal)
+            session = Session(engine)
+            txn = _buffer(engine.begin(), probe) if mode == "early" \
+                else None
+            for ops in others:
+                try:
+                    session.run(ops)
+                except CommitRejected:
+                    pass
+            assert len(engine.graph) > 1, "no other commit landed"
+            if txn is None:
+                txn = _buffer(engine.begin(), probe)
+            try:
+                outcome = engine.commit(txn).vid
+            except CommitRejected as exc:
+                outcome = sorted(map(repr, exc.findings))
+            engine.close()
+            _assert_serializable(engine)
+            runs[mode] = (outcome, engine.state(),
+                          list(WriteAheadLog.records(wal)))
+        assert runs["early"] == runs["head"], (seed, probe)
+
+
 @pytest.mark.slow
 class TestStress:
     def test_contended_writers_serialize(self):
         """Every writer races to insert the same rows: duplicates net to
-        no-ops, footprint collisions retry, and the result must equal
-        one serial pass."""
+        no-ops, colliding commits land on the head in turn, and the
+        result must equal one serial pass."""
         n, writers = 120, 6
         engine = _engine(n)
         rows = manager_stream(n, 12)

@@ -25,7 +25,7 @@ import pytest
 
 from repro.errors import StoreError, TornTailWarning
 from repro.store import (
-    SessionService,
+    Session,
     StoreEngine,
     WriteAheadLog,
 )
@@ -44,7 +44,7 @@ def _mk_engine(n=60, **kwargs):
 
 def _commit_rows(engine, rows, branch="main"):
     """One single-insert commit per row; returns the new versions."""
-    session = SessionService(engine).session(branch)
+    session = Session(engine, branch)
     return [session.commit(session.begin().insert("manager", row))
             for row in rows]
 
@@ -386,9 +386,26 @@ class TestReplaceThroughTheLog:
         for v in engine.graph.log():
             twin = replayed.version(v.vid)
             assert twin.state == v.state, v.vid
-            assert twin.writes == v.writes, v.vid
-        assert replayed.version(replaced.vid).writes is None
         assert replayed.graph.branches() == engine.graph.branches()
+
+
+class TestReplayParentCheck:
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_commit_onto_a_non_head_parent_is_drift(self, tmp_path,
+                                                    verify):
+        """A commit record whose ``parent`` is not its branch's head is
+        drift, not a commit to re-parent silently onto the head."""
+        wal = tmp_path / "store.wal"
+        engine = _mk_engine(n=30, wal=wal)
+        _commit_rows(engine, manager_stream(30, 3))
+        engine.close()
+        segment = last_segment(wal)
+        lines = segment.read_text().splitlines()
+        assert '"version": "v3"' in lines[3]
+        lines[3] = lines[3].replace('"parent": "v2"', '"parent": "v1"')
+        segment.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StoreError, match="replay drift"):
+            StoreEngine.replay(wal, verify=verify)
 
 
 # ----------------------------------------------------------------------
@@ -409,14 +426,13 @@ class TestGc:
 
     def test_gc_preserves_pins_and_releases_collected_states(self):
         engine = _mk_engine()
-        service = SessionService(engine)
-        session = service.session()
+        session = Session(engine)
         refs = {}
         for row in manager_stream(60, 8):
             version = session.commit(session.begin().insert("manager", row))
             refs[version.vid] = weakref.ref(version.state)
         del version
-        reader = service.session()
+        reader = Session(engine)
         reader.pin("v3")
 
         stats = engine.gc(keep=1)
@@ -467,9 +483,8 @@ class TestGc:
 
     def test_session_pin_context_manager(self):
         engine = _mk_engine()
-        service = SessionService(engine)
         _commit_rows(engine, manager_stream(60, 5))
-        with service.session() as session:
+        with Session(engine) as session:
             pinned = session.pin("v2")
             assert [v.vid for v in session.pins()] == ["v2"]
             engine.gc(keep=1)
@@ -481,16 +496,21 @@ class TestGc:
         engine.gc(keep=1)
         assert "v2" not in engine.graph.versions
 
-    def test_transaction_based_below_gc_floor_fails(self):
+    def test_transaction_begun_before_gc_commits_onto_the_head(self):
+        """A transaction holds no version: one begun at a head that
+        ``gc`` has since collected still commits onto the current
+        head."""
         engine = _mk_engine()
         rows = manager_stream(60, 6)
         _commit_rows(engine, rows[:1])
-        stale = engine.begin()  # based at v1
+        early = engine.begin()  # begun while v1 was the head
         _commit_rows(engine, rows[1:5])
         engine.gc(keep=2)
-        stale.insert("manager", rows[5])
-        with pytest.raises(StoreError, match="not an ancestor"):
-            engine.commit(stale)
+        assert "v1" not in engine.graph.versions
+        early.insert("manager", rows[5])
+        version = engine.commit(early)
+        assert (version.vid, version.parent.vid) == ("v6", "v5")
+        assert engine.audit().ok()
 
     def test_gc_leaves_wal_replayable(self, tmp_path):
         wal = tmp_path / "store.wal"
@@ -589,7 +609,7 @@ class TestCheckpointStream:
             wal=WriteAheadLog(path, segment_records=1000),
             checkpoint_every=100)
         rows = manager_stream(60, 40)
-        session = SessionService(engine).session()
+        session = Session(engine)
         for i in range(260):  # insert/delete churn: 520 commits
             row = rows[i % len(rows)]
             session.commit(session.begin().insert("manager", row))
@@ -622,13 +642,12 @@ class TestCheckpointStream:
 class TestGcUnderStream:
     def test_gc_bounds_residency_under_eight_writers(self):
         engine = _mk_engine(n=400)
-        service = SessionService(engine)
         rows = manager_stream(400, 240)
         shards = disjoint_commit_specs(rows, 8)
         errors = []
 
         def worker(shard):
-            session = service.session()
+            session = Session(engine)
             for spec in shard:
                 for _ in range(50):
                     try:
@@ -642,7 +661,7 @@ class TestGcUnderStream:
                 else:
                     errors.append(spec)
 
-        pinned = service.session()
+        pinned = Session(engine)
         pinned.pin()  # v0: a long-lived reader the stream must respect
         threads = [threading.Thread(target=worker, args=(shard,))
                    for shard in shards]
