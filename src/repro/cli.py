@@ -416,10 +416,13 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def _cmd_log(args: argparse.Namespace) -> int:
-    """Print a write-ahead log's history, one line per record."""
-    from repro.store import WriteAheadLog
+    """Print a write-ahead log's history, one line per record: what a
+    fresh cursor yields (the log is not repaired), then one line for
+    any unterminated bytes left at the tail."""
+    from repro.store import WalCursor
 
-    for record in WriteAheadLog.records(args.wal):
+    cursor = WalCursor(args.wal)
+    for record in cursor.drain():
         if args.json:
             print(json.dumps(record, sort_keys=True))
             continue
@@ -448,6 +451,11 @@ def _cmd_log(args: argparse.Namespace) -> int:
                 f"{op['op']} {op['relation']}" for op in record["ops"])
             print(f"{record['version']}  <- {record['parent']}  "
                   f"[{record['branch']}]  {ops}")
+    unread = cursor.behind_bytes()
+    if unread:
+        print(f"({unread} unterminated byte(s) at the tail: an append "
+              "in progress or torn by a crash)",
+              file=sys.stderr if args.json else sys.stdout)
     return 0
 
 

@@ -33,21 +33,8 @@ from repro.relational import Relation, Tuple, join_all, project
 # chain is severed.  Severing bounds the memory a long update stream pins
 # (every delta holds its parent alive) and, because a severed state
 # interns afresh on demand, also compacts the append-only shared symbol
-# tables that would otherwise accumulate every value ever seen.  The
-# default can be overridden per state (``DatabaseExtension(...,
-# chain_cap=...)``, inherited by every derived successor).
+# tables that would otherwise accumulate every value ever seen.
 DEFAULT_CHAIN_CAP = 1024
-
-
-def _resolve_chain_cap(chain_cap: int | None) -> int:
-    """The severing cap to use: the explicit argument, else the module
-    default.  Must be >= 1 (a cap of 1 makes every successor a fresh
-    root)."""
-    if chain_cap is None:
-        chain_cap = DEFAULT_CHAIN_CAP
-    if chain_cap < 1:
-        raise ValueError(f"chain_cap must be >= 1, got {chain_cap}")
-    return chain_cap
 
 
 class StateDelta:
@@ -100,10 +87,8 @@ class DatabaseExtension:
     def __init__(self,
                  schema: Schema,
                  relations: Mapping[str, object] | None = None,
-                 contributors: ContributorAssignment | None = None,
-                 chain_cap: int | None = None):
+                 contributors: ContributorAssignment | None = None):
         self.schema = schema
-        self._chain_cap = _resolve_chain_cap(chain_cap)
         self.spec = SpecialisationStructure(schema)
         self.gen = GeneralisationStructure(schema)
         self.contributors = contributors or ContributorAssignment(schema)
@@ -160,7 +145,7 @@ class DatabaseExtension:
         other tuples were validated when their state was built).  The
         successor records the update as a :class:`StateDelta` so its
         kernel and audits derive incrementally — unless the delta chain
-        has grown past the state's chain cap, where it is severed to
+        has grown past :data:`DEFAULT_CHAIN_CAP`, where it is severed to
         bound memory and re-compact the shared symbol tables.
         """
         db = object.__new__(cls)
@@ -170,8 +155,7 @@ class DatabaseExtension:
         db.contributors = parent.contributors
         db._relations = relations
         db._kernel = None
-        db._chain_cap = parent._chain_cap
-        if parent._depth + 1 >= parent._chain_cap:
+        if parent._depth + 1 >= DEFAULT_CHAIN_CAP:
             db._init_delta_state(None, 0)
         else:
             db._init_delta_state(

@@ -160,9 +160,8 @@ class DeadlineExceeded(StoreError):
 
     Raised by the retry loop of
     :class:`~repro.server.failover.FailoverClient` (``run`` and the
-    queue flush) and by a hard-deadline
-    :meth:`~repro.server.replica.ReplicaEngine.catch_up`, with the last
-    underlying failure chained as ``__cause__``, so the caller learns
-    both *that* time ran out and *why* the last attempt failed.
+    queue flush), with the last underlying failure chained as
+    ``__cause__``, so the caller learns both *that* time ran out and
+    *why* the last attempt failed.
     """
 

@@ -52,34 +52,54 @@ from repro.core import (
     SubsetConstraint,
 )
 from repro.errors import ProtocolError, SchemaError
+from repro.relational import Tuple
 
 # ----------------------------------------------------------------------
 # wire frames (the byte layer of repro.server's protocol)
 # ----------------------------------------------------------------------
 FRAME_HEADER = struct.Struct(">I")
 
-#: Default ceiling on one frame's payload.  Large enough for any audit
-#: report or relation read the test states produce, small enough that a
-#: hostile length prefix cannot make a connection buffer gigabytes.
+#: The ceiling on one frame's payload, on both ends of the wire.  Large
+#: enough for any audit report or relation read the test states produce,
+#: small enough that a hostile length prefix cannot make a connection
+#: buffer gigabytes.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 
-def encode_frame(message: dict[str, Any],
-                 max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """One protocol message as a length-prefixed JSON frame."""
+def _encode_tuple(value: Any) -> dict[str, Any]:
+    """``json.dumps``' hook for values JSON has no type for: a relational
+    :class:`~repro.relational.Tuple` encodes as the object of its items.
+
+    Each tuple's dict is built only while it is written and freed right
+    after, so a message can carry a whole relation's tuples without
+    holding a dict per row — a read of a large relation then allocates
+    too little to set off the garbage collector in the middle of it."""
+    if isinstance(value, Tuple):
+        return value.as_dict()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def encode_frame(message: dict[str, Any]) -> bytes:
+    """One protocol message as a length-prefixed JSON frame.  Relational
+    tuples anywhere in ``message`` encode as JSON objects."""
     if not isinstance(message, dict):
         raise ProtocolError(
             f"a frame payload must be a JSON object, got "
             f"{type(message).__name__}")
+    # No circular-reference bookkeeping: it costs a dict insert and
+    # delete per container and per tuple.  A cyclic message still fails,
+    # as RecursionError.
     try:
-        payload = json.dumps(message, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
+        payload = json.dumps(message, sort_keys=True, separators=(",", ":"),
+                             default=_encode_tuple,
+                             check_circular=False).encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"message is not JSON-codable: {exc}") from exc
-    if len(payload) > max_bytes:
+    if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_bytes}-byte frame limit")
+            f"{MAX_FRAME_BYTES}-byte frame limit")
     return FRAME_HEADER.pack(len(payload)) + payload
 
 
@@ -106,59 +126,74 @@ def split_frames(data: bytes) -> tuple[list[bytes], bytes]:
     return frames, bytes(data[offset:])
 
 
+def _decode_payload(payload: bytes | bytearray) -> dict[str, Any]:
+    """One frame payload as its message: UTF-8 JSON encoding an object."""
+    try:
+        message = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ProtocolError(
+            f"frame payload is not valid JSON: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolError(
+            f"frame payload must be a JSON object, got "
+            f"{type(message).__name__}")
+    return message
+
+
 class FrameDecoder:
     """Incremental frame parser: feed bytes, collect decoded messages.
 
-    The decoder is transport-agnostic (sans-IO): both the asyncio server
-    and the blocking client push whatever bytes arrived and receive every
-    *complete* message, buffering partial frames internally.  A declared
-    length beyond ``max_bytes`` raises :class:`ProtocolError` and poisons
-    the decoder — past that point the stream offset can no longer be
-    trusted, so the connection must close; a payload that is complete but
-    not a JSON object also raises, but leaves the decoder usable (the
-    prefix still delimited the frame correctly) — messages decoded
-    before the bad frame are delivered by the next :meth:`feed` call.
+    The wire's only frame parser.  It is transport-agnostic (sans-IO):
+    the asyncio server keeps one per connection and the blocking client
+    one per socket; each pushes whatever bytes arrived and receives
+    every *complete* message, in stream order, while partial frames stay
+    buffered.  A declared length beyond :data:`MAX_FRAME_BYTES` raises
+    :class:`ProtocolError` and sets :attr:`poisoned` — past that point
+    the stream offset can no longer be trusted, so the connection must
+    close.  A payload that is complete but not a JSON object also
+    raises, but leaves the decoder usable (the prefix still delimited
+    the frame correctly).  Either error is raised only once the messages
+    ahead of the bad frame have been returned: a :meth:`feed` that meets
+    one after decoding good frames returns those, and the next call
+    raises.
     """
 
-    __slots__ = ("max_bytes", "_buffer", "_ready", "_poisoned")
+    __slots__ = ("_buffer", "poisoned")
 
-    def __init__(self, max_bytes: int = MAX_FRAME_BYTES):
-        self.max_bytes = max_bytes
+    def __init__(self) -> None:
         self._buffer = bytearray()
-        self._ready: list[dict[str, Any]] = []
-        self._poisoned = False
+        self.poisoned = False
 
     def feed(self, data: bytes = b"") -> list[dict[str, Any]]:
         """Buffer ``data`` and return every message completed so far."""
-        if self._poisoned:
+        if self.poisoned:
             raise ProtocolError(
                 "frame stream is desynchronised (oversized frame); "
                 "close the connection")
-        self._buffer.extend(data)
-        while len(self._buffer) >= FRAME_HEADER.size:
-            (length,) = FRAME_HEADER.unpack_from(self._buffer)
-            if length > self.max_bytes:
-                self._poisoned = True
+        buffer = self._buffer
+        buffer.extend(data)
+        out: list[dict[str, Any]] = []
+        while len(buffer) >= FRAME_HEADER.size:
+            (length,) = FRAME_HEADER.unpack_from(buffer)
+            if length > MAX_FRAME_BYTES:
+                if out:
+                    return out  # the next feed raises on this frame
+                self.poisoned = True
                 raise ProtocolError(
                     f"declared frame length {length} exceeds the "
-                    f"{self.max_bytes}-byte frame limit")
+                    f"{MAX_FRAME_BYTES}-byte frame limit")
             end = FRAME_HEADER.size + length
-            if len(self._buffer) < end:
+            if len(buffer) < end:
                 break
-            payload = bytes(self._buffer[FRAME_HEADER.size:end])
-            del self._buffer[:end]
             try:
-                message = json.loads(payload)
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise ProtocolError(
-                    f"frame payload is not valid JSON: {exc}") from exc
-            if not isinstance(message, dict):
-                raise ProtocolError(
-                    f"frame payload must be a JSON object, got "
-                    f"{type(message).__name__}")
-            self._ready.append(message)
-        out = self._ready
-        self._ready = []
+                message = _decode_payload(buffer[FRAME_HEADER.size:end])
+            except ProtocolError:
+                if out:
+                    return out  # the next feed raises on this frame
+                del buffer[:end]
+                raise
+            del buffer[:end]
+            out.append(message)
         return out
 
     @property

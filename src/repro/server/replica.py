@@ -31,11 +31,15 @@ import threading
 import time
 from pathlib import Path
 
-from repro.errors import DeadlineExceeded, EpochFenced, StoreError
+from repro.errors import EpochFenced, StoreError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.store.engine import StoreEngine
 from repro.store.wal import WalCursor, WriteAheadLog
+
+# catch_up's poll backoff: the first sleep, and the cap on its doubling.
+_MIN_INTERVAL = 0.0005
+_POLL_INTERVAL = 0.01
 
 
 class ReplicaEngine:
@@ -165,67 +169,35 @@ class ReplicaEngine:
             return
         self._engine.apply_wal_record(record, verify=self.verify)
 
-    def catch_up(self, timeout: float = 5.0,
-                 poll_interval: float = 0.01,
-                 min_interval: float = 0.0005,
-                 backoff: float = 2.0,
-                 deadline: float | None = None) -> int:
+    def catch_up(self, timeout: float = 5.0) -> int:
         """Sync until the cursor reports nothing left behind (or the
         timeout lapses — a live primary can outrun a poll, so callers
-        needing a hard guarantee stop the writers first).  Returns the
-        records applied.
+        needing a hard guarantee stop the writers first, and callers
+        that must know check :meth:`behind_bytes` afterwards).  Returns
+        the records applied; an ``OSError`` from the poll propagates.
 
-        Polling backs off: an empty poll doubles (``backoff``) the
-        sleep from ``min_interval`` up to ``poll_interval``, and any
-        progress resets it — so a busy tail is drained at full speed
-        while a quiet primary costs a handful of stats per
-        ``poll_interval``, not a busy loop.
-
-        ``deadline`` is the *hard* form of ``timeout`` (and overrides
-        it): every backoff sleep is capped against the remaining
-        budget, transient ``OSError``\\ s from the poll (a flaky disk,
-        an injected fault) are retried inside the budget instead of
-        aborting the catch-up, and when the budget lapses while still
-        behind, :class:`~repro.errors.DeadlineExceeded` is raised with
-        the last transient failure chained as ``__cause__`` — the
-        contract of :class:`~repro.server.failover.FailoverClient`'s
-        retry loop, so supervision loops polling a dead or torn
-        primary fail loudly and boundedly instead of backing off past
-        any bound and returning as if nothing were wrong.
+        Polling backs off: an empty poll doubles the sleep from
+        ``_MIN_INTERVAL`` up to ``_POLL_INTERVAL``, and any progress
+        resets it — so a busy tail is drained at full speed while a
+        quiet primary costs a handful of stats per ``_POLL_INTERVAL``,
+        not a busy loop.
         """
-        bound = timeout if deadline is None else deadline
-        deadline_at = time.monotonic() + bound
-        interval = max(0.0, min(min_interval, poll_interval))
+        deadline_at = time.monotonic() + timeout
+        interval = _MIN_INTERVAL
         applied = 0
-        last_failure: OSError | None = None
         while True:
-            got = 0
-            try:
-                got = self.sync()
-                applied += got
-                last_failure = None
-            except OSError as exc:
-                if deadline is None:
-                    raise  # soft mode keeps the historical contract
-                last_failure = exc
-            if last_failure is None and self.behind_bytes() == 0:
+            got = self.sync()
+            applied += got
+            if self.behind_bytes() == 0:
                 return applied
             now = time.monotonic()
             if now >= deadline_at:
-                if deadline is not None:
-                    raise DeadlineExceeded(
-                        f"replica still {self.behind_bytes()} bytes "
-                        f"behind when the {bound}s catch-up deadline "
-                        "lapsed (dead or torn primary?)"
-                    ) from last_failure
                 return applied
             if got:
-                interval = max(0.0, min(min_interval, poll_interval))
+                interval = _MIN_INTERVAL
             else:
-                time.sleep(min(interval,
-                               max(0.0, deadline_at - now)))
-                interval = min(poll_interval,
-                               max(interval, min_interval) * backoff)
+                time.sleep(min(interval, deadline_at - now))
+                interval = min(_POLL_INTERVAL, interval * 2)
 
     def resync(self) -> int:
         """Re-bootstrap from the newest checkpoint after the tail was
@@ -282,10 +254,6 @@ class ReplicaEngine:
 
     def state(self, vid: str | None = None, branch: str = "main"):
         return self.engine.state(vid, branch)
-
-    def read(self, relation: str, branch: str = "main",
-             at: str | None = None):
-        return self.engine.read(relation, branch, at)
 
     def head_version(self, branch: str = "main"):
         return self.engine.head_version(branch)

@@ -11,14 +11,19 @@ back as typed error payloads.
 
 Robustness posture:
 
+* Each connection reads through its own :class:`~repro.io.FrameDecoder`
+  — the same parser the client uses — and answers frames in stream
+  order, pipelined ones included, whether they are good or bad.
 * A frame that *delimits* but does not *parse* (bad JSON, non-object
   payload, unknown op) costs exactly one ``bad-frame``/
   ``protocol-error`` response; the connection — and the accept loop —
   live on.  The fuzz sweep in ``tests/test_server_protocol.py`` holds
   the server to that.
-* A frame whose declared length exceeds the cap is *fatal* for that
-  connection (the stream offset can no longer be trusted) but for that
-  connection only.
+* A frame whose declared length exceeds the one cap,
+  :data:`repro.io.MAX_FRAME_BYTES`, is *fatal* for that connection (the
+  stream offset can no longer be trusted) but for that connection only.
+* ``idle_timeout`` bounds the wait for each next *complete* frame, not
+  for the next read, so a client dribbling bytes is closed too.
 * The connection pool is bounded: over-capacity connections receive one
   ``overloaded`` error frame and are closed before any connection state is
   allocated.
@@ -38,18 +43,21 @@ ticking so staleness stays bounded while the primary writes.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 from typing import Any
 
 from repro.errors import EpochFenced, ProtocolError, StoreError
-from repro.io import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame
+from repro.io import FrameDecoder, encode_frame
 from repro.kernel.batch import sweep_counts
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.server import protocol
 from repro.server.replica import ReplicaEngine
 from repro.store.engine import StoreEngine
+
+# Bytes asked of the socket per read; the frame decoder reassembles
+# frames across reads.
+_READ_BYTES = 65536
 
 
 class _Connection:
@@ -82,9 +90,10 @@ class StoreServer:
         write-backpressure knob.  Further commit requests queue on the
         semaphore (their connections simply wait; nothing is dropped).
     idle_timeout:
-        Seconds a connection may sit between frames before the server
-        closes it (``None``, the default, never does) — abandoned
-        connections otherwise pin the bounded connection cap forever.
+        Seconds a connection may wait for its next *complete* frame
+        before the server closes it (``None``, the default, never does)
+        — abandoned or byte-dribbling connections otherwise pin the
+        bounded connection cap forever.
     cluster:
         An optional health view — anything with a ``gossip() -> dict``
         (a :class:`~repro.server.cluster.HealthMonitor`); when set,
@@ -108,7 +117,6 @@ class StoreServer:
                  max_connections: int = 64,
                  max_inflight_commits: int = 8,
                  sync_interval: float = 0.02,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
                  idle_timeout: float | None = None,
                  cluster: Any = None,
                  metrics: MetricsRegistry | None = None,
@@ -122,7 +130,6 @@ class StoreServer:
         self.max_connections = max_connections
         self.max_inflight_commits = max_inflight_commits
         self.sync_interval = sync_interval
-        self.max_frame_bytes = max_frame_bytes
         if idle_timeout is not None and idle_timeout <= 0:
             raise StoreError(
                 f"idle_timeout must be positive (or None), "
@@ -291,56 +298,57 @@ class StoreServer:
             return
         self._g_connections.inc()
         conn = _Connection()
+        decoder = FrameDecoder()
         try:
             while True:
                 try:
-                    if self.idle_timeout is not None:
-                        message = await asyncio.wait_for(
-                            self._read_frame(reader), self.idle_timeout)
-                    else:
-                        message = await self._read_frame(reader)
-                except asyncio.IncompleteReadError:
-                    break  # client went away (possibly mid-frame)
+                    messages = await self._next_frames(reader, decoder)
                 except asyncio.TimeoutError:
                     self._c_idle_closed.inc()
                     break  # idle past the bound: free the slot
                 except ProtocolError as exc:
-                    fatal = getattr(exc, "fatal", False)
                     self._c_bad_frames.inc()
                     await self._send(writer, protocol.error_response(
-                        None, "bad-frame", str(exc), fatal=fatal))
-                    if fatal:
+                        None, "bad-frame", str(exc),
+                        fatal=decoder.poisoned))
+                    if decoder.poisoned:
                         break
                     continue
-                response = await self._dispatch(conn, message)
-                self._c_frames_served.inc()
-                await self._send(writer, response)
+                if not messages:
+                    break  # client went away (possibly mid-frame)
+                for message in messages:
+                    response = await self._dispatch(conn, message)
+                    self._c_frames_served.inc()
+                    await self._send(writer, response)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             self._g_connections.dec()
             writer.close()
 
-    async def _read_frame(self, reader: asyncio.StreamReader) -> dict:
-        header = await reader.readexactly(FRAME_HEADER.size)
-        (length,) = FRAME_HEADER.unpack(header)
-        if length > self.max_frame_bytes:
-            exc = ProtocolError(
-                f"declared frame length {length} exceeds the "
-                f"{self.max_frame_bytes}-byte cap")
-            exc.fatal = True  # stream offset no longer trustworthy
-            raise exc
-        payload = await reader.readexactly(length)
-        try:
-            message = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as bad:
-            raise ProtocolError(f"frame payload is not JSON: {bad}") \
-                from bad
-        if not isinstance(message, dict):
-            raise ProtocolError(
-                f"frame payload must be a JSON object, got "
-                f"{type(message).__name__}")
-        return message
+    async def _next_frames(self, reader: asyncio.StreamReader,
+                           decoder: FrameDecoder) -> list[dict]:
+        """The next complete frames' messages, in stream order — those
+        already buffered first, else whatever the next reads complete;
+        empty at end of stream.  ``idle_timeout`` bounds the wait for a
+        *complete* frame, so a client dribbling bytes cannot hold its
+        slot forever."""
+        messages = decoder.feed()
+        if messages:
+            return messages
+
+        async def fill() -> list[dict]:
+            while True:
+                data = await reader.read(_READ_BYTES)
+                if not data:
+                    return []
+                messages = decoder.feed(data)
+                if messages:
+                    return messages
+
+        if self.idle_timeout is None:
+            return await fill()
+        return await asyncio.wait_for(fill(), self.idle_timeout)
 
     async def _send(self, writer: asyncio.StreamWriter,
                     message: dict) -> None:
@@ -497,7 +505,9 @@ class StoreServer:
         store = self._store
         version = store.graph.get(at) if at is not None \
             else store.head_version(branch)
-        rows = [t.as_dict() for t in version.state.R(relation)]
+        # The tuples themselves: encode_frame writes each one as a JSON
+        # object, so the response never holds a dict per row.
+        rows = list(version.state.R(relation))
         return protocol.ok_response(rid, relation=relation, rows=rows,
                                     version=version.vid)
 

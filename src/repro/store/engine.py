@@ -60,6 +60,7 @@ from repro.store.txn import (
 )
 from repro.store.version_graph import Version, VersionGraph
 from repro.store.wal import (
+    WalCursor,
     WriteAheadLog,
     branch_record,
     checkpoint_record,
@@ -301,14 +302,6 @@ class StoreEngine:
         if vid is not None:
             return self.graph.get(vid).state
         return self.graph.head(branch).state
-
-    def read(self, relation: str, branch: str = "main",
-             at: str | None = None):
-        """The instance set ``R_relation`` at one pinned version
-        (default: the branch head) — the lock-free read the network
-        front end serves, shaped for callers that hold neither a
-        :class:`Session` nor a :class:`Version`."""
-        return self.state(at, branch).R(relation)
 
     @property
     def validation(self) -> str:
@@ -698,10 +691,14 @@ class StoreEngine:
                checkpoint_every: int | None = None) -> "StoreEngine":
         """Rebuild an engine (and its version graph) from a WAL.
 
-        Recovery is crash-safe: a torn *final* line (crash mid-append)
-        is truncated off with a :class:`TornTailWarning` and the intact
-        prefix replays; corruption before the final record still raises
-        :class:`StoreError`.
+        Recovery is crash-safe: :meth:`WriteAheadLog.repair` first
+        truncates a torn *final* line (crash mid-append) off with a
+        :class:`TornTailWarning`, then a :class:`WalCursor` — the same
+        reader a replica follows the log with — drains the intact
+        prefix; corruption before the final record still raises
+        :class:`StoreError`.  On read-only media, where the repair
+        cannot write, an unterminated final line stays unconsumed and
+        replay warns :class:`TornTailWarning` about the bytes it left.
 
         With ``from_checkpoint=True`` (the default) replay starts at
         the newest checkpoint-headed segment — older segments are never
@@ -724,24 +721,29 @@ class StoreEngine:
         try:
             dropped = WriteAheadLog.repair(wal_path)
         except OSError:
-            dropped = 0  # read-only media: records() below still copes
+            dropped = 0  # read-only media: the cursor leaves the tail
         if dropped:
             warnings.warn(
                 f"truncated {dropped} torn byte(s) off {wal_path} "
                 "(crash mid-append); replaying the intact prefix",
                 TornTailWarning, stacklevel=2)
-        segments = WriteAheadLog.segment_paths(wal_path)
-        start = WriteAheadLog.checkpoint_floor(segments) \
-            if from_checkpoint else 0
-        records = WriteAheadLog._records_from(segments[start:])
-        try:
-            first = next(records)
-        except StopIteration:
-            raise StoreError(f"empty WAL: {wal_path}") from None
+        cursor = WalCursor(wal_path)
+        if from_checkpoint:
+            cursor.seek_newest_checkpoint_segment()
+        records = cursor.drain()
+        first = next(records, None)
+        if first is None:
+            raise StoreError(f"empty WAL: {wal_path}")
         engine = cls.from_wal_record(first, verify=verify, wal=wal,
                                      checkpoint_every=checkpoint_every)
         for record in records:
             engine.apply_wal_record(record, verify=verify)
+        unread = cursor.behind_bytes()
+        if unread:
+            warnings.warn(
+                f"left {unread} unterminated byte(s) at the tail of "
+                f"{wal_path} (torn append on read-only media); replayed "
+                "the intact prefix", TornTailWarning, stacklevel=2)
         return engine
 
     @classmethod

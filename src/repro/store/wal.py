@@ -37,10 +37,13 @@ regular file at a log path is refused (the migration recipe is in
 :meth:`WriteAheadLog.segment_paths`).
 
 Crash-safety contract: a crash mid-append leaves a torn *final* line.
-:meth:`records` drops it with a :class:`~repro.errors.TornTailWarning`
-(and :meth:`repair` truncates it off the file), because the prefix is a
-complete, valid history; a corrupt line anywhere *before* the final
-record is tampering or media failure and raises
+On the writer side :meth:`WriteAheadLog.repair` truncates it off the
+file, because the prefix is a complete, valid history.  Every reader —
+replay, a replica, ``repro log`` — parses the log through one
+:class:`WalCursor`, whose rule is: an unterminated final line is an
+append still in progress (left unconsumed), while a newline-terminated
+line that does not parse, or a dangling partial line in a frozen
+segment, is tampering or media failure and raises
 :class:`~repro.errors.StoreError`.  New log files (and fresh segments)
 fsync their parent directory so the file itself — not just its
 contents — survives power loss.
@@ -52,12 +55,12 @@ import json
 import os
 import re
 import shutil
-import warnings
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro import io
-from repro.errors import EpochFenced, SchemaError, StoreError, TornTailWarning
+from repro.errors import EpochFenced, SchemaError, StoreError
 
 SEGMENT_PATTERN = "wal.%06d.jsonl"
 _SEGMENT_RE = re.compile(r"^wal\.(\d{6})\.jsonl$")
@@ -349,46 +352,6 @@ class WriteAheadLog:
         return 0
 
     @staticmethod
-    def records(path: str | Path) -> Iterator[dict]:
-        """The log's records in append order (blank lines skipped),
-        across every segment.
-
-        When the *final* line of the *final* segment is not a complete
-        record — the signature a crash mid-append leaves — it is
-        dropped with a :class:`TornTailWarning`.  A corrupt line
-        anywhere else raises :class:`StoreError`: a mid-log hole means
-        the history after it cannot be trusted.
-        """
-        segments = WriteAheadLog.segment_paths(path)
-        yield from WriteAheadLog._records_from(segments)
-
-    @staticmethod
-    def _records_from(segments: list[Path]) -> Iterator[dict]:
-        """``records`` over an explicit (ordered) segment list — replay
-        uses this to start at the newest checkpointed segment."""
-        for si, segment in enumerate(segments):
-            with open(segment, "rb") as fh:
-                lines = [(n, raw.strip())
-                         for n, raw in enumerate(fh, start=1)]
-            nonblank = [i for i, (_, line) in enumerate(lines) if line]
-            for i in nonblank:
-                n, line = lines[i]
-                record, ok = _parse_line(line)
-                if ok:
-                    yield record
-                    continue
-                if si == len(segments) - 1 and i == nonblank[-1]:
-                    warnings.warn(
-                        f"dropping torn final WAL line {n} in "
-                        f"{segment} (crash mid-append); the prefix "
-                        f"is intact", TornTailWarning, stacklevel=3)
-                    return
-                raise StoreError(
-                    f"corrupt WAL line {n} in {segment}: not a record "
-                    "object" if record is not None else
-                    f"corrupt WAL line {n} in {segment}: invalid JSON")
-
-    @staticmethod
     def repair(path: str | Path) -> int:
         """Truncate a torn final line off the log's last segment.
 
@@ -487,10 +450,11 @@ class WriteAheadLog:
 class WalCursor:
     """A stateful tail reader: every complete record exactly once.
 
-    The follow hook replicas are built on.  A cursor remembers a
-    ``(segment, byte offset)`` position in a live WAL and each
-    :meth:`poll` returns the complete records appended since, across
-    segment rotations.  The read side of the PR-6 crash contract:
+    A cursor remembers a ``(segment, byte offset)`` position in a live
+    WAL and each :meth:`poll` returns the complete records appended
+    since, across segment rotations.  It is the log's only reader —
+    replay, replicas and ``repro log`` all parse records here — and its
+    rule is the read side of the crash contract:
 
     * an *incomplete* final line (no trailing newline — the only shape a
       torn in-progress append can have, because the newline is the last
@@ -559,66 +523,76 @@ class WalCursor:
             self._offset = 0
 
     def poll(self, max_records: int | None = None) -> list[dict]:
-        """The complete records appended since the last poll.
+        """The complete records appended since the last poll (at most
+        ``max_records`` of them).
 
         Returns an empty list when nothing new is durably visible —
         including while the final line is still being appended (or was
         torn by a crash the primary has not repaired yet).  Never blocks.
         """
-        out: list[dict] = []
+        return list(islice(self.drain(), max_records))
+
+    def drain(self) -> Iterator[dict]:
+        """:meth:`poll`'s lazy form: yield each complete record as it is
+        parsed, advancing the position past it first — so a consumer
+        that stops early resumes at the next record, and replay streams
+        a whole log through here without holding every parsed record at
+        once.
+
+        A segment is read from the cursor's offset on, never from its
+        start, so a caught-up poll costs one listing, one ``fstat`` and
+        an empty read however large the log has grown.
+        """
         while True:
-            if max_records is not None and len(out) >= max_records:
-                return out
             segments = WriteAheadLog.segment_paths(self.path)
             if not segments:
-                return out
+                return
             if self._segment is None:
                 self._segment = segments[0]
                 self._offset = 0
             try:
                 index = segments.index(self._segment)
-                data = self._segment.read_bytes()
+                with open(self._segment, "rb") as fh:
+                    size = os.fstat(fh.fileno()).st_size
+                    if size < self._offset:
+                        # The primary repaired a torn tail.  Only bytes
+                        # past the last complete record are ever
+                        # truncated, and the cursor never consumed
+                        # those, so clamping is safe.
+                        self._offset = size
+                    fh.seek(self._offset)
+                    data = fh.read()
             except (ValueError, FileNotFoundError):
                 raise StoreError(
                     f"WAL segment {self._segment.name} was pruned out "
                     "from under the cursor; resynchronise from the "
                     "newest checkpoint") from None
             final = index == len(segments) - 1
-            if len(data) < self._offset:
-                # The primary repaired a torn tail.  Only bytes past the
-                # last complete record are ever truncated, and the
-                # cursor never consumed those, so clamping is safe.
-                self._offset = len(data)
-            pos = self._offset
-            while pos < len(data) and (max_records is None
-                                       or len(out) < max_records):
-                nl = data.find(b"\n", pos)
-                if nl == -1:
-                    break  # in-progress (or torn) append: wait
+            base = self._offset
+            pos = 0
+            while (nl := data.find(b"\n", pos)) != -1:
                 line = data[pos:nl].strip()
                 pos = nl + 1
-                self._offset = pos
+                self._offset = base + pos
                 if not line:
                     continue
                 record, ok = _parse_line(line)
                 if not ok:
                     raise StoreError(
-                        f"corrupt WAL record at byte {pos} of "
+                        f"corrupt WAL record at byte {self._offset} of "
                         f"{self._segment.name}: a newline-terminated "
                         "line failed to parse")
-                out.append(record)
-            if max_records is not None and len(out) >= max_records:
-                return out
+                yield record
             if pos < len(data):
                 # A trailing line without its newline yet.
                 if final:
-                    return out  # the append (or its repair) is pending
+                    return  # the append (or its repair) is pending
                 raise StoreError(
                     f"WAL segment {self._segment.name} was rotated away "
                     "with a dangling partial record — torn inside the "
                     "log, not at its tail")
             if final:
-                return out
+                return
             # Frozen segment fully consumed: advance to the next one.
             self._segment = segments[index + 1]
             self._offset = 0

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.relational import FD, MVD, JoinDependency, Relation
 from repro.relational.algebra import join_all_naive, project_naive
-from repro.store import WriteAheadLog
+from repro.store import WalCursor, WriteAheadLog
 
 
 def chaos_seeds(count: int, base: int | None = None) -> list[int]:
@@ -38,6 +38,13 @@ def last_segment(wal_dir) -> Path:
     """The segment a WAL directory appends to — the file crash and
     tamper tests cut or edit in place."""
     return WriteAheadLog.segment_paths(wal_dir)[-1]
+
+
+def wal_records(wal_dir) -> list[dict]:
+    """Every record a fresh cursor reads from the log — the one WAL
+    reader replay and replicas share (an unterminated final line stays
+    unread; corruption raises)."""
+    return WalCursor(wal_dir).poll()
 
 
 def random_family(rng: random.Random, points: list[str]) -> list[frozenset[str]]:

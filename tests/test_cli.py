@@ -144,6 +144,28 @@ class TestServeLogReplay:
         assert all(r["type"] in ("snapshot", "commit", "branch")
                    for r in records)
 
+    def test_log_reports_an_unterminated_tail_without_repairing(
+            self, document, tmp_path, capsys):
+        import json
+
+        wal = tmp_path / "serve.wal"
+        cli.main(["serve", document, "--txns", "6", "--threads", "1",
+                  "--wal", str(wal), "--seed", "3"])
+        capsys.readouterr()
+        segment = last_segment(wal)
+        torn = segment.read_bytes() + b'{"type": "commit", "ver'
+        segment.write_bytes(torn)
+        assert cli.main(["log", str(wal)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("v0  snapshot")
+        assert out[-1].startswith("(23 unterminated byte(s) at the tail")
+        assert cli.main(["log", str(wal), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert all(json.loads(line)["type"]
+                   for line in captured.out.splitlines())
+        assert "23 unterminated byte(s)" in captured.err
+        assert segment.read_bytes() == torn  # log is read, not repaired
+
     def test_replay_verifies_and_writes_head(self, document, tmp_path, capsys):
         import json
 

@@ -142,29 +142,31 @@ class TestEquality:
 
 
 class TestChainCap:
-    """The delta-chain severing cap (DatabaseExtension keyword,
-    default 1024)."""
+    """The delta-chain severing cap (the module constant
+    ``DEFAULT_CHAIN_CAP``, 1024)."""
 
-    def test_default_cap(self, db):
+    def test_default_cap(self):
         from repro.core.extension import DEFAULT_CHAIN_CAP
 
-        assert db._chain_cap == DEFAULT_CHAIN_CAP == 1024
+        assert DEFAULT_CHAIN_CAP == 1024
 
-    def test_cap_of_two_severs_and_still_audits(self, schema):
-        from repro.core import check_all
+    def test_cap_of_two_severs_and_still_audits(self, schema, monkeypatch):
+        from repro.core import check_all, extension
         from repro.core.employee import employee_extension
 
         db = employee_extension(schema)
-        capped = DatabaseExtension(
-            schema, {e.name: db.R(e) for e in schema}, chain_cap=2)
-        assert capped._chain_cap == 2
-        current = capped
         rows = [
             {"name": "fay", "age": 28},
             {"name": "eva", "age": 47},
             {"name": "dee", "age": 42},
             {"name": "cas", "age": 53},
         ]
+        uncapped = db
+        for row in rows:
+            uncapped = uncapped.insert("person", row)
+        monkeypatch.setattr(extension, "DEFAULT_CHAIN_CAP", 2)
+        current = DatabaseExtension(
+            schema, {e.name: db.R(e) for e in schema})
         depths = []
         for row in rows:
             current = current.insert("person", row)
@@ -179,11 +181,4 @@ class TestChainCap:
         assert {name: inst.n_rows for name, inst in
                 current.kernel.instances.items()} == \
             {name: inst.n_rows for name, inst in naive.instances.items()}
-        uncapped = db
-        for row in rows:
-            uncapped = uncapped.insert("person", row)
         assert current == uncapped
-
-    def test_invalid_cap_rejected(self, schema):
-        with pytest.raises(ValueError):
-            DatabaseExtension(schema, chain_cap=0)

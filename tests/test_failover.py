@@ -8,6 +8,7 @@ failure is replayed by re-running the printed seed."""
 from __future__ import annotations
 
 import shutil
+import socket
 import threading
 import time
 import warnings
@@ -25,6 +26,7 @@ from repro.errors import (
     TornTailWarning,
 )
 from repro.faults import FaultPlan, FaultyWal, InjectedCrash
+from repro.io import encode_frame
 from repro.server import (
     ClientPool,
     FailoverClient,
@@ -352,6 +354,27 @@ class TestIdleTimeout:
                 time.sleep(0.05)
             assert idle.is_stale()  # server hung up on the idler
             idle.close()
+        engine.close()
+
+    def test_byte_dribbling_client_is_closed_and_counted(self):
+        """The bound is on the next *complete* frame, not the next read:
+        a client sending one frame a byte every 0.1s under a 0.2s bound
+        is closed before the frame completes."""
+        engine = _mk_engine()
+        frame = encode_frame({"op": "ping"})
+        with StoreServer(engine, idle_timeout=0.2) as server:
+            with socket.create_connection(server.address,
+                                          timeout=5.0) as sock:
+                try:
+                    for i in range(len(frame)):
+                        sock.sendall(frame[i:i + 1])
+                        time.sleep(0.1)
+                    tail = sock.recv(1)
+                except (ConnectionResetError, BrokenPipeError):
+                    tail = b""
+                assert tail == b""  # hung up before the pong
+            with StoreClient(*server.address) as probe:
+                assert probe.status()["idle_closed"] == 1
         engine.close()
 
     def test_active_connection_survives_the_timeout(self):

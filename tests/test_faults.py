@@ -22,10 +22,10 @@ from repro.faults import (
 )
 from repro.io import encode_frame, split_frames
 from repro.server import StoreClient, StoreServer
-from repro.store import Session, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WalCursor, WriteAheadLog
 from repro.workloads import manager_stream, serving_state
 
-from generators import chaos_seeds, last_segment
+from generators import chaos_seeds, last_segment, wal_records
 
 
 def _mk_engine(n=30, **kwargs):
@@ -130,9 +130,9 @@ class TestFaultyWal:
         assert wal.simulate_power_loss() == {}
         data = last_segment(tmp_path / "w.jsonl").read_bytes()
         assert len(data.split(b"\n")[-1]) == 7  # the 7-byte cut
-        with pytest.warns(TornTailWarning):
-            records = list(WriteAheadLog.records(tmp_path / "w.jsonl"))
-        assert [r["n"] for r in records] == [0, 1]
+        cursor = WalCursor(tmp_path / "w.jsonl")
+        assert [r["n"] for r in cursor.poll()] == [0, 1]
+        assert cursor.behind_bytes() == 7  # the torn tail stays unread
 
     def test_short_write_vanishes_on_power_loss(self, tmp_path):
         wal = FaultyWal(WriteAheadLog(tmp_path / "w.jsonl"),
@@ -142,7 +142,7 @@ class TestFaultyWal:
             wal.append({"type": "commit", "n": 1})
         dropped = wal.simulate_power_loss()
         assert sum(dropped.values()) == 9
-        records = list(WriteAheadLog.records(tmp_path / "w.jsonl"))
+        records = wal_records(tmp_path / "w.jsonl")
         assert [r["n"] for r in records] == [0]  # clean prefix, no tear
 
     def test_fsync_loss_erases_an_acknowledged_append(self, tmp_path):
@@ -152,11 +152,11 @@ class TestFaultyWal:
         wal.append({"type": "commit", "n": 1})  # acked, never durable
         # Readable now — but a power cut erases the acked record whole.
         assert [r["n"] for r in
-                WriteAheadLog.records(tmp_path / "w.jsonl")] == [0, 1]
+                wal_records(tmp_path / "w.jsonl")] == [0, 1]
         dropped = wal.simulate_power_loss()
         assert sum(dropped.values()) > 0
         assert [r["n"] for r in
-                WriteAheadLog.records(tmp_path / "w.jsonl")] == [0]
+                wal_records(tmp_path / "w.jsonl")] == [0]
 
     def test_later_durable_append_recovers_lost_fsync(self, tmp_path):
         """The watermark is a high-water mark on file bytes: a durable
@@ -167,7 +167,7 @@ class TestFaultyWal:
             wal.append({"type": "commit", "n": n})
         assert wal.simulate_power_loss() == {}
         assert [r["n"] for r in
-                WriteAheadLog.records(tmp_path / "w.jsonl")] == [0, 1, 2]
+                wal_records(tmp_path / "w.jsonl")] == [0, 1, 2]
 
     def test_io_error_is_transient_and_retryable(self, tmp_path):
         wal = FaultyWal(WriteAheadLog(tmp_path / "w.jsonl"),
@@ -177,7 +177,7 @@ class TestFaultyWal:
             wal.append({"type": "commit", "n": 1})
         assert isinstance(caught.value, OSError)  # classified retryable
         wal.append({"type": "commit", "n": 1})  # the retry goes through
-        records = list(WriteAheadLog.records(tmp_path / "w.jsonl"))
+        records = wal_records(tmp_path / "w.jsonl")
         assert [r["n"] for r in records] == [0, 1]  # nothing half-written
 
     def test_random_cut_is_seed_deterministic(self, tmp_path):
@@ -215,7 +215,7 @@ class TestFaultyWal:
             wal.append({"type": "commit", "n": n})
         dropped = wal.simulate_power_loss()
         assert len(dropped) == 1  # only the final segment lost bytes
-        survivors = [r["n"] for r in WriteAheadLog.records(path)]
+        survivors = [r["n"] for r in wal_records(path)]
         assert survivors == [0, 1, 2]
 
 

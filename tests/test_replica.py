@@ -14,12 +14,13 @@ holds that refactor to its contract.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from repro.errors import CommitRejected, StoreError
 from repro.server import ReplicaEngine
-from repro.store import Session, StoreEngine, WriteAheadLog
+from repro.store import Session, StoreEngine, WalCursor, WriteAheadLog
 from repro.workloads.sessions import manager_stream, serving_state
 
 from generators import last_segment, random_database_states
@@ -294,6 +295,31 @@ class TestTornTail:
         _assert_same_graph(replica.graph, ck.graph)
 
 
+class TestCaughtUpPoll:
+    def test_caught_up_poll_reads_only_past_the_offset(self, tmp_path):
+        """An idle replica's tick must not grow with the log: a poll
+        that finds nothing new reads from the cursor's offset, not the
+        whole segment (measured as the polls' peak allocation)."""
+        wal = WriteAheadLog(tmp_path / "wal")
+        for i in range(400):
+            wal.append({"type": "noop", "i": i, "pad": "x" * 1000})
+        cursor = WalCursor(tmp_path / "wal")
+        assert len(cursor.poll()) == 400
+        size = wal.current_segment.stat().st_size
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                assert cursor.poll() == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 10, (peak, size)
+        wal.append({"type": "noop", "i": 400})
+        assert [r["i"] for r in cursor.poll()] == [400]
+        assert cursor.behind_bytes() == 0
+        wal.close()
+
+
 # ----------------------------------------------------------------------
 # the staleness report
 # ----------------------------------------------------------------------
@@ -338,7 +364,7 @@ class TestStalenessReport:
         (tmp_path / "wal").mkdir()
         replica = ReplicaEngine(tmp_path / "wal")
         with pytest.raises(StoreError, match="not bootstrapped"):
-            replica.read("dept")
+            replica.state()
 
 
 class TestServedBeforeFirstSync:
@@ -365,10 +391,10 @@ class TestServedBeforeFirstSync:
         assert row in rows and version == engine.head_version().vid
 
 
-class TestCatchUpDeadline:
-    """The hard form of catch_up: a supervision loop polling a dead or
-    torn primary must fail loudly and boundedly (DeadlineExceeded with
-    the transient failure chained), never back off past any bound."""
+class TestCatchUp:
+    """catch_up's one contract: sync until nothing is left behind or the
+    timeout lapses, then return the records applied — a caller that
+    must know checks ``behind_bytes()`` itself."""
 
     def _torn_log(self, tmp_path, n=8):
         schema, db, constraints = serving_state(n)
@@ -380,52 +406,6 @@ class TestCatchUpDeadline:
         with open(last_segment(wal), "ab") as f:
             f.write(b'{"type": "commit", "ver')  # forever half-written
         return wal
-
-    def test_deadline_lapses_boundedly_on_a_torn_tail(self, tmp_path):
-        import time as _time
-
-        from repro.errors import DeadlineExceeded
-
-        replica = ReplicaEngine(self._torn_log(tmp_path))
-        start = _time.monotonic()
-        with pytest.raises(DeadlineExceeded, match="bytes behind"):
-            replica.catch_up(deadline=0.3)
-        elapsed = _time.monotonic() - start
-        assert elapsed < 2.0  # bounded, not unbounded backoff
-        assert replica.behind_bytes() > 0
-        assert replica.ready  # the durable prefix still applied
-
-    def test_deadline_overrides_timeout_and_sleeps_are_capped(
-            self, tmp_path):
-        import time as _time
-
-        from repro.errors import DeadlineExceeded
-
-        replica = ReplicaEngine(self._torn_log(tmp_path))
-        start = _time.monotonic()
-        with pytest.raises(DeadlineExceeded):
-            # timeout says 30s; the hard deadline must win, and the
-            # backoff sleeps must be clipped against what remains.
-            replica.catch_up(timeout=30.0, poll_interval=5.0,
-                             deadline=0.2)
-        assert _time.monotonic() - start < 1.5
-
-    def test_transient_oserror_is_retried_then_chained(self, tmp_path):
-        from repro.errors import DeadlineExceeded
-
-        schema, db, constraints = serving_state(8)
-        wal = tmp_path / "w.jsonl"
-        engine = StoreEngine(db, constraints, wal=wal)
-        engine.close()
-        replica = ReplicaEngine(wal)
-        replica.sync = lambda max_records=None: (_ for _ in ()).throw(
-            OSError("flaky disk"))
-        with pytest.raises(DeadlineExceeded) as caught:
-            replica.catch_up(deadline=0.2)
-        assert isinstance(caught.value.__cause__, OSError)
-        assert "flaky disk" in str(caught.value.__cause__)
-        del replica.sync  # the class method again
-        assert replica.catch_up(deadline=1.0) >= 0  # recovers cleanly
 
     def test_soft_mode_keeps_the_historical_contract(self, tmp_path):
         replica = ReplicaEngine(self._torn_log(tmp_path))

@@ -29,7 +29,7 @@ from repro.errors import (
     ProtocolError,
     StoreError,
 )
-from repro.io import FRAME_HEADER, encode_frame, FrameDecoder
+from repro.io import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame, FrameDecoder
 from repro.server import ReplicaEngine, StoreClient, StoreServer
 from repro.server.protocol import (
     error_payload,
@@ -84,6 +84,17 @@ class TestFrameRoundTrip:
         assert length == len(frame) - 4
         assert json.loads(frame[4:]) == {"a": 1}
 
+    def test_tuples_encode_as_their_rows(self):
+        """A relation's tuples encode byte for byte as their ``as_dict``
+        rows (the read handler ships tuples, not dicts)."""
+        _, db, _ = serving_state(30)
+        tuples = list(db.R("manager"))
+        rows = [t.as_dict() for t in tuples]
+        frame = encode_frame(ok_response(1, rows=tuples))
+        assert frame == encode_frame(ok_response(1, rows=rows))
+        (out,) = FrameDecoder().feed(frame)
+        assert out["rows"] == rows
+
     def test_encode_rejects_non_dict(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             encode_frame([1, 2, 3])
@@ -92,9 +103,15 @@ class TestFrameRoundTrip:
         with pytest.raises(ProtocolError):
             encode_frame({"x": object()})
 
+    def test_encode_rejects_cyclic_message(self):
+        message = {"x": []}
+        message["x"].append(message)
+        with pytest.raises(ProtocolError):
+            encode_frame(message)
+
     def test_encode_rejects_oversize(self):
         with pytest.raises(ProtocolError, match="exceeds"):
-            encode_frame({"x": "y" * 64}, max_bytes=32)
+            encode_frame({"x": "y" * MAX_FRAME_BYTES})
 
 
 class TestFrameDecoderErrors:
@@ -114,20 +131,33 @@ class TestFrameDecoderErrors:
         assert decoder.feed(encode_frame({"ok": 2})) == [{"ok": 2}]
 
     def test_messages_before_a_bad_frame_are_not_lost(self):
-        """A chunk carrying [good, bad] raises on the bad frame but the
-        good message is delivered by the next feed call."""
+        """A chunk carrying [good, bad, good] comes out in stream order:
+        the first feed returns the good message ahead of the bad frame,
+        the next raises on the bad frame, and the one after returns the
+        message behind it."""
         decoder = FrameDecoder()
         bad = b"!!!"
         chunk = encode_frame({"first": True}) + \
-            FRAME_HEADER.pack(len(bad)) + bad
+            FRAME_HEADER.pack(len(bad)) + bad + encode_frame({"last": True})
+        assert decoder.feed(chunk) == [{"first": True}]
         with pytest.raises(ProtocolError):
-            decoder.feed(chunk)
-        assert decoder.feed() == [{"first": True}]
+            decoder.feed()
+        assert decoder.feed() == [{"last": True}]
+
+    def test_messages_before_an_oversize_declaration_are_returned(self):
+        decoder = FrameDecoder()
+        chunk = encode_frame({"first": True}) + \
+            FRAME_HEADER.pack(MAX_FRAME_BYTES + 1)
+        assert decoder.feed(chunk) == [{"first": True}]
+        assert not decoder.poisoned
+        with pytest.raises(ProtocolError, match="frame limit"):
+            decoder.feed()
+        assert decoder.poisoned
 
     def test_oversize_declaration_poisons_the_decoder(self):
-        decoder = FrameDecoder(max_bytes=64)
+        decoder = FrameDecoder()
         with pytest.raises(ProtocolError, match="frame limit"):
-            decoder.feed(FRAME_HEADER.pack(1 << 20))
+            decoder.feed(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))
         # ... and permanently: the stream offset is untrustworthy.
         with pytest.raises(ProtocolError, match="desynchronised"):
             decoder.feed(encode_frame({"ok": 1}))
@@ -189,7 +219,7 @@ class TestErrorBridge:
 def server():
     schema, db, constraints = serving_state(10)
     engine = StoreEngine(db, constraints)
-    with StoreServer(engine, max_frame_bytes=1 << 16) as srv:
+    with StoreServer(engine) as srv:
         yield srv
 
 
@@ -303,6 +333,21 @@ class TestServerOps:
                 c.send_message({"id": rid, "op": "ping"})
             for rid in range(5):
                 assert c.recv_message()["id"] == rid
+
+    def test_pipelined_good_and_bad_frames_answer_in_stream_order(
+            self, server):
+        """A ping, a bad-JSON frame and a ping in one send: the three
+        responses come back in that order."""
+        bad = b"{nope"
+        with StoreClient(*server.address, hello=False) as c:
+            c.send_raw(encode_frame({"id": 1, "op": "ping"})
+                       + FRAME_HEADER.pack(len(bad)) + bad
+                       + encode_frame({"id": 2, "op": "ping"}))
+            first, second, third = (c.recv_message() for _ in range(3))
+        assert first["id"] == 1 and first["ok"]
+        assert second["error"]["code"] == "bad-frame"
+        assert second["error"]["fatal"] is False
+        assert third["id"] == 2 and third["ok"]
 
 
 class TestReplicaServer:
@@ -436,7 +481,7 @@ class TestMalformedFrameFuzz:
         for case in range(FUZZ_CASES):
             category = CATEGORIES[case % len(CATEGORIES)]
             counts[category] += 1
-            blob = _fuzz_bytes(rng, category, server.max_frame_bytes)
+            blob = _fuzz_bytes(rng, category, MAX_FRAME_BYTES)
             if category in FATAL:
                 sock = _raw_conn(server)
                 sock.sendall(blob)

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro import io
-from repro.core import DatabaseExtension, check_all
+from repro.core import check_all, extension
 from repro.core.employee import employee_constraints, employee_extension
 from repro.errors import (
     CommitRejected,
@@ -29,7 +29,6 @@ from repro.store import (
     Transaction,
     ValidationPlan,
     VersionGraph,
-    WriteAheadLog,
     write_footprint,
 )
 from repro.workloads import (
@@ -38,7 +37,7 @@ from repro.workloads import (
     serving_state,
 )
 
-from generators import audit_oracle, last_segment
+from generators import audit_oracle, last_segment, wal_records
 
 
 @pytest.fixture
@@ -380,7 +379,7 @@ class TestWalReplay:
         for row in manager_stream(30, 3):
             session.commit(session.begin().insert("manager", row))
         engine.close()
-        records = list(WriteAheadLog.records(path))
+        records = wal_records(path)
         assert [r["type"] for r in records] == \
             ["snapshot", "commit", "commit", "commit"]
         assert [r.get("version") for r in records] == \
@@ -409,7 +408,7 @@ class TestWalReplay:
         path = tmp_path / "bad.wal"
         path.write_text('{"type": "snapshot"\nnot json\n')
         with pytest.raises(StoreError):
-            list(WriteAheadLog.records(path))
+            wal_records(path)
         empty = tmp_path / "empty.wal"
         empty.write_text("")
         with pytest.raises(StoreError):
@@ -485,13 +484,12 @@ class TestWalReplay:
 
 
 class TestStoreWithChainCap:
-    def test_tiny_chain_cap_store_still_serves(self):
-        """A cap-2 root severs the delta chain constantly; commits,
+    def test_tiny_chain_cap_store_still_serves(self, monkeypatch):
+        """A cap of 2 severs the delta chain constantly; commits,
         audits, and replayed equality must be unaffected."""
+        monkeypatch.setattr(extension, "DEFAULT_CHAIN_CAP", 2)
         schema, db, constraints = serving_state(30)
-        capped = DatabaseExtension(
-            schema, {e.name: db.R(e) for e in schema}, chain_cap=2)
-        engine = StoreEngine(capped, constraints)
+        engine = StoreEngine(db, constraints)
         session = Session(engine)
         for row in manager_stream(30, 4):
             session.commit(session.begin().insert("manager", row))

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import DatabaseExtension
 from repro.errors import CommitRejected
-from repro.store import Session, StoreEngine, Transaction, WriteAheadLog
+from repro.store import Session, StoreEngine, Transaction
 from repro.store.txn import findings_from_report
 from repro.workloads import (
     contended_commit_specs,
@@ -32,7 +32,7 @@ from repro.workloads import (
     serving_state,
 )
 
-from generators import random_database_states
+from generators import random_database_states, wal_records
 
 
 class GlobalLockEngine(StoreEngine):
@@ -178,7 +178,7 @@ class TestCommitRule:
             engine.close()
             _assert_serializable(engine)
             runs[mode] = (outcome, engine.state(),
-                          list(WriteAheadLog.records(wal)))
+                          wal_records(wal))
         assert runs["early"] == runs["head"], (seed, probe)
 
 

@@ -1,10 +1,9 @@
 """Durability, recovery, checkpointing, and GC tests for the store.
 
 The crash-safety contract under test: a torn *final* WAL line (the
-signature of a crash mid-append) is tolerated — ``records`` warns and
-yields the intact prefix, ``repair`` truncates it off, ``replay``
-rebuilds the prefix — while corruption anywhere before the final record
-raises.  The slow lane injects a crash at *every* byte offset of a
+signature of a crash mid-append) is tolerated — a ``WalCursor`` leaves
+it unread, ``repair`` truncates it off, ``replay`` rebuilds the prefix
+— while corruption anywhere before the final record raises.  The slow lane injects a crash at *every* byte offset of a
 log's last record and checks the replayed graph is exactly the full
 graph or exactly the prefix, nothing else.
 
@@ -15,6 +14,7 @@ resident versions bounded by the keep window plus pins — with the
 collected states becoming actual garbage (weakref asserts).
 """
 
+import errno
 import gc as pygc
 import os
 import threading
@@ -27,6 +27,7 @@ from repro.errors import StoreError, TornTailWarning
 from repro.store import (
     Session,
     StoreEngine,
+    WalCursor,
     WriteAheadLog,
 )
 from repro.workloads import (
@@ -34,7 +35,7 @@ from repro.workloads import (
     manager_stream,
     serving_state,
 )
-from generators import last_segment
+from generators import last_segment, wal_records
 
 
 def _mk_engine(n=60, **kwargs):
@@ -68,25 +69,28 @@ def logged(tmp_path):
 # torn tails and corruption
 # ----------------------------------------------------------------------
 class TestTornTail:
-    def test_records_tolerates_torn_final_line(self, logged):
+    def test_cursor_leaves_torn_final_line_unread(self, logged):
         wal, _ = logged
         seg = last_segment(wal)
-        data = seg.read_bytes()
-        seg.write_bytes(data[:-7])  # tear the last record mid-line
-        with pytest.warns(TornTailWarning):
-            records = list(WriteAheadLog.records(wal))
+        intact = seg.read_bytes()
+        seg.write_bytes(intact[:-7])  # tear the last record mid-line
+        cursor = WalCursor(wal)
+        records = cursor.poll()
         assert len(records) == 5  # snapshot + 4 intact commits
         assert records[-1]["version"] == "v4"
+        last_line_start = intact.rstrip(b"\n").rfind(b"\n") + 1
+        assert cursor.behind_bytes() == len(intact) - 7 - last_line_start
 
     def test_record_missing_final_newline_is_complete(self, logged):
         wal, _ = logged
         seg = last_segment(wal)
         seg.write_bytes(seg.read_bytes().rstrip(b"\n"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = list(WriteAheadLog.records(wal))
-        assert len(records) == 6
+        # Unterminated, so readers wait on it as an append in progress
+        # ...
+        assert len(wal_records(wal)) == 5
+        # ... until repair, finding it complete, writes its newline.
         assert WriteAheadLog.repair(wal) == 0
+        assert len(wal_records(wal)) == 6
 
     def test_repair_truncates_and_is_idempotent(self, logged):
         wal, _ = logged
@@ -98,9 +102,7 @@ class TestTornTail:
         assert WriteAheadLog.repair(wal) == len(torn) - last_line_start
         assert seg.read_bytes() == intact[:last_line_start]
         assert WriteAheadLog.repair(wal) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert len(list(WriteAheadLog.records(wal))) == 5
+        assert len(wal_records(wal)) == 5
 
     def test_replay_recovers_intact_prefix(self, logged):
         wal, original = logged
@@ -111,10 +113,31 @@ class TestTornTail:
         assert len(engine.graph) == 5  # v0..v4: the torn v5 is dropped
         assert engine.head_version().vid == "v4"
         assert engine.state() == original.state("v4")
-        # Replay repaired the segment on disk: a second read is clean.
+        # Replay repaired the segment on disk: a second replay is clean.
+        assert len(wal_records(wal)) == 5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(list(WriteAheadLog.records(wal))) == 5
+            assert StoreEngine.replay(wal).head_version().vid == "v4"
+
+    def test_replay_on_read_only_media_warns_and_keeps_the_prefix(
+            self, logged, monkeypatch):
+        """Where repair cannot write, the torn final line stays on disk:
+        replay leaves it unread, warns, and rebuilds the intact prefix."""
+        wal, original = logged
+        seg = last_segment(wal)
+        torn = seg.read_bytes()[:-7]
+        seg.write_bytes(torn)
+
+        def read_only(path):
+            raise OSError(errno.EROFS, "read-only file system", str(path))
+
+        monkeypatch.setattr(WriteAheadLog, "repair", read_only)
+        with pytest.warns(TornTailWarning):
+            engine = StoreEngine.replay(wal)
+        assert len(engine.graph) == 5
+        assert engine.head_version().vid == "v4"
+        assert engine.state() == original.state("v4")
+        assert seg.read_bytes() == torn  # nothing was written
 
     def test_mid_log_corruption_raises(self, logged):
         wal, _ = logged
@@ -122,21 +145,26 @@ class TestTornTail:
         lines = seg.read_bytes().splitlines(keepends=True)
         lines[2] = b'{"type": "commit", "version"\n'  # torn, but not final
         seg.write_bytes(b"".join(lines))
-        with pytest.raises(StoreError, match="corrupt WAL line 3"):
-            list(WriteAheadLog.records(wal))
+        with pytest.raises(StoreError, match="corrupt WAL record"):
+            wal_records(wal)
         with pytest.raises(StoreError, match="not a torn tail"):
             WriteAheadLog.repair(wal)
         with pytest.raises(StoreError):
             StoreEngine.replay(wal)
 
     def test_non_object_final_line_is_torn_not_trusted(self, logged):
-        wal, _ = logged
+        """A terminated final line that is no record is corruption to a
+        reader; replay's repair truncates it as a torn tail first."""
+        wal, original = logged
         seg = last_segment(wal)
         with open(seg, "ab") as fh:
             fh.write(b'"just a string"\n')
+        with pytest.raises(StoreError, match="corrupt WAL record"):
+            wal_records(wal)
         with pytest.warns(TornTailWarning):
-            records = list(WriteAheadLog.records(wal))
-        assert len(records) == 6
+            engine = StoreEngine.replay(wal)
+        assert engine.state() == original.state()
+        assert len(wal_records(wal)) == 6
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +232,7 @@ class TestWalLifecycle:
         for i in range(8):
             wal.append({"type": "noop", "i": i})
         wal.close()
-        assert [r["i"] for r in WriteAheadLog.records(tmp_path / "seg")] \
+        assert [r["i"] for r in wal_records(tmp_path / "seg")] \
             == list(range(8))
 
     def test_engine_refuses_populated_wal(self, logged):
@@ -247,7 +275,7 @@ class TestCheckpoint:
         engine = _mk_engine(wal=wal, checkpoint_every=5)
         _commit_rows(engine, manager_stream(60, 12))
         engine.close()
-        kinds = [r["type"] for r in WriteAheadLog.records(wal)]
+        kinds = [r["type"] for r in wal_records(wal)]
         assert kinds.count("checkpoint") == 2
         # They land right after the 5th and 10th commits.
         assert kinds.index("checkpoint") == 6
