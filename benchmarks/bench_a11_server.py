@@ -54,12 +54,6 @@ def state(n: int):
     return _STATES[n]
 
 
-def _records(ops):
-    return [{"op": kind, "relation": relation, "row": row,
-             "propagate": True}
-            for kind, relation, row in ops]
-
-
 def _commit_over_wire(server, specs):
     """Each writer thread owns one connection and commits its shard."""
     errors = []
@@ -68,7 +62,7 @@ def _commit_over_wire(server, specs):
         try:
             with StoreClient(*server.address) as client:
                 for ops in shard:
-                    client.run(_records(ops))
+                    client.run(ops)
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 

@@ -32,7 +32,7 @@ from repro.server import (
     engine_probe,
 )
 from repro.store import Session, StoreEngine
-from repro.workloads import manager_stream, serving_state
+from repro.workloads import manager_stream, op_record, serving_state
 
 ROWS = 200
 HISTORY_COMMITS = 40
@@ -68,7 +68,7 @@ def _build_history(wal):
     engine = StoreEngine(db, constraints, wal=wal)
     session = Session(engine)
     for row in manager_stream(ROWS, HISTORY_COMMITS):
-        session.run([("insert", "manager", row)])
+        session.run([op_record("insert", "manager", row)])
     engine.close()
     return engine
 

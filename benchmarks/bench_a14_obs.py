@@ -24,7 +24,7 @@ from time import perf_counter
 
 from repro.obs import MetricsRegistry, Tracer
 from repro.store import Session, StoreEngine
-from repro.workloads import manager_stream, serving_state
+from repro.workloads import manager_stream, op_record, serving_state
 
 ROWS = 200
 STREAM_COMMITS = 40
@@ -53,7 +53,7 @@ def _fresh_engine(tmp_path, tag, instrumented):
 def _run_stream(engine, rows):
     session = Session(engine)
     for row in rows:
-        session.run([("insert", "manager", row)])
+        session.run([op_record("insert", "manager", row)])
     return engine
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures for the experiment benches (see DESIGN.md section 4)."""
+"""Shared fixtures for the experiment benches (the kernel benches'
+oracles are listed in ``src/repro/kernel/README.md``)."""
 
 from __future__ import annotations
 

@@ -5,7 +5,8 @@ CS-R8711) models a database's intension as a finite topological space over
 entity types and its extension as projection-linked relations, with six
 design axioms and an entity-level functional-dependency calculus on top.
 
-Package map (see DESIGN.md for the full inventory):
+Package map (``kernel/README.md`` and ``server/README.md`` document the
+kernel and the serving stack):
 
 * :mod:`repro.core` — the paper's model: axioms, specialisation and
   generalisation topologies, contributors, subbase choice, extensions and
@@ -21,7 +22,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.nulls` — the section-6 future work: boolean-algebra domains
   and incomplete information.
 * :mod:`repro.workloads`, :mod:`repro.viz` — generators and renderers for
-  the experiments in EXPERIMENTS.md.
+  the experiments.  ``tests/test_paper_claims.py`` checks each claim of
+  the paper, and ``benchmarks/bench_e*.py`` reproduces experiments E1-E13.
 
 Quickstart::
 

@@ -103,13 +103,7 @@ class DatabaseExtension:
                     raise ExtensionError(
                         f"bad relation for {e.name!r}: {exc}"
                     ) from exc
-            if rel.schema != e.attributes:
-                raise ExtensionError(
-                    f"relation for {e.name!r} has schema {sorted(rel.schema)}, "
-                    f"expected {sorted(e.attributes)}"
-                )
-            self._validate_domains(e, rel.tuples)
-            self._relations[e] = rel
+            self._relations[e] = self._checked(e, rel)
         for e in schema:
             self._relations.setdefault(e, Relation(e.attributes))
         self._kernel: ExtensionKernel | None = None
@@ -163,6 +157,20 @@ class DatabaseExtension:
                 parent._depth + 1,
             )
         return db
+
+    def _checked(self, e: EntityType, rel, validate: bool = True) -> Relation:
+        """``rel`` as ``R_e``: shape-checked, and domain-checked unless
+        the caller vouches for its tuples."""
+        if not isinstance(rel, Relation):
+            rel = Relation(e.attributes, rel)
+        if rel.schema != e.attributes:
+            raise ExtensionError(
+                f"relation for {e.name!r} has schema {sorted(rel.schema)}, "
+                f"expected {sorted(e.attributes)}"
+            )
+        if validate:
+            self._validate_domains(e, rel.tuples)
+        return rel
 
     def _validate_domains(self, e: EntityType, tuples: Iterable[Tuple]) -> None:
         for t in tuples:
@@ -580,36 +588,21 @@ class DatabaseExtension:
         Condition invariant — the semantic reading of "each manager should
         be an employee".
 
-        The successor is *delta-derived*: only the genuinely added
-        tuples are validated, untouched relations are shared, and the
-        successor's kernel and audits patch the predecessor's instead of
-        rebuilding.  An insert that changes nothing returns ``self``.
+        The row delta lands through :meth:`apply_changes`, so the
+        successor is delta-derived: only the genuinely added tuples are
+        kept, untouched relations are shared, and the successor's kernel
+        and audits patch the predecessor's instead of rebuilding.  An
+        insert that changes nothing returns ``self``.
         """
         e = self._resolve(e)
-        t = row if isinstance(row, Tuple) else Tuple(dict(row))
-        if t.schema != e.attributes:
-            raise ExtensionError(
-                f"tuple schema {sorted(t.schema)} does not match {e.name!r}"
-            )
+        t = _as_tuple(e, row)
         self._validate_domains(e, [t])
-        new = dict(self._relations)
-        added: dict[str, list[Tuple]] = {}
-        if t not in new[e].tuples:
-            # _trusted: the new tuple was validated above and the
-            # existing tuples by their own state's construction, so the
-            # public constructor's per-tuple re-validation is skipped.
-            new[e] = Relation._trusted(e.attributes, new[e].tuples | {t})
-            added[e.name] = [t]
+        added = {e.name: (t,)}
         if propagate:
             for g in self.gen.proper_generalisations(e):
-                p = t.project(g.attributes)
-                if p not in new[g].tuples:
-                    new[g] = Relation._trusted(g.attributes,
-                                               new[g].tuples | {p})
-                    added[g.name] = [p]
-        if not added:
-            return self
-        return DatabaseExtension._derived(self, new, added=added)
+                added[g.name] = (t.project(g.attributes),)
+        # The projections of a validated tuple are valid too.
+        return self.apply_changes(added, validate=False)
 
     def delete(self, e: EntityType | str, row: Mapping, propagate: bool = True) -> "DatabaseExtension":
         """Delete a tuple from ``R_e``; optionally cascade to specialisations.
@@ -618,33 +611,20 @@ class DatabaseExtension:
         deleted one is removed too, keeping containment — deleting a
         person deletes the employee and manager facts about them.
 
-        Like :meth:`insert`, the successor is delta-derived; a delete
-        that changes nothing returns ``self``.  The cascade victims are
-        found through the kernel's cached partition indexes when this
-        state already interned, instead of projecting every
-        specialisation tuple.
+        Like :meth:`insert`, the row delta lands through
+        :meth:`apply_changes`; a delete that changes nothing returns
+        ``self``.  The cascade victims are found through the kernel's
+        cached partition indexes when this state already interned,
+        instead of projecting every specialisation tuple.
         """
         e = self._resolve(e)
-        t = row if isinstance(row, Tuple) else Tuple(dict(row))
-        if t.schema != e.attributes:
-            raise ExtensionError(
-                f"tuple schema {sorted(t.schema)} does not match {e.name!r}"
-            )
-        new = dict(self._relations)
-        removed: dict[str, list[Tuple]] = {}
-        if t in new[e].tuples:
-            new[e] = Relation._trusted(e.attributes, new[e].tuples - {t})
-            removed[e.name] = [t]
+        t = _as_tuple(e, row)
+        removed = {e.name: (t,)}
         if propagate:
             for s in self.spec.proper_specialisations(e):
-                doomed = self._projecting_onto(s, e, t)
-                if doomed:
-                    new[s] = Relation._trusted(
-                        s.attributes, new[s].tuples - set(doomed))
-                    removed[s.name] = doomed
-        if not removed:
-            return self
-        return DatabaseExtension._derived(self, new, removed=removed)
+                removed[s.name] = self._projecting_onto(s, e, t)
+        # Removal introduces no tuple, and the victims are R_s's own.
+        return self.apply_changes(removed=removed, validate=False)
 
     def _projecting_onto(self, s: EntityType, e: EntityType,
                          t: Tuple) -> list[Tuple]:
@@ -682,22 +662,7 @@ class DatabaseExtension:
         state's.  Rows not present are ignored; removing nothing returns
         ``self``.
         """
-        e = self._resolve(e)
-        present = self._relations[e].tuples
-        doomed: list[Tuple] = []
-        for row in rows:
-            t = row if isinstance(row, Tuple) else Tuple(dict(row))
-            if t.schema != e.attributes:
-                raise ExtensionError(
-                    f"tuple schema {sorted(t.schema)} does not match {e.name!r}"
-                )
-            if t in present:
-                doomed.append(t)
-        if not doomed:
-            return self
-        new = dict(self._relations)
-        new[e] = Relation._trusted(e.attributes, new[e].tuples - set(doomed))
-        return DatabaseExtension._derived(self, new, removed={e.name: doomed})
+        return self.apply_changes(removed={self._resolve(e).name: rows})
 
     def replace(self, e: EntityType | str, relation: Relation | Iterable) -> "DatabaseExtension":
         """A copy with ``R_e`` wholesale replaced (no propagation).
@@ -707,18 +672,7 @@ class DatabaseExtension:
         symbol tables) and audits re-judge only the contexts that read
         it.
         """
-        e = self._resolve(e)
-        if not isinstance(relation, Relation):
-            relation = Relation(e.attributes, relation)
-        if relation.schema != e.attributes:
-            raise ExtensionError(
-                f"relation for {e.name!r} has schema {sorted(relation.schema)}, "
-                f"expected {sorted(e.attributes)}"
-            )
-        self._validate_domains(e, relation.tuples)
-        new = dict(self._relations)
-        new[e] = relation
-        return DatabaseExtension._derived(self, new, replaced=(e.name,))
+        return self.apply_changes(replaced={self._resolve(e).name: relation})
 
     def apply_changes(self,
                       added: Mapping[str, Iterable] | None = None,
@@ -727,88 +681,65 @@ class DatabaseExtension:
                       validate: bool = True) -> "DatabaseExtension":
         """Apply one batched delta in a single derivation step.
 
-        The transactional store's commit hook: a whole transaction's net
-        effect — tuples added, tuples removed, relations replaced
-        wholesale — lands as *one* :class:`StateDelta`, so the successor
-        pays one relation copy per touched relation and one kernel patch
-        per commit instead of one per buffered operation.  No semantic
-        propagation happens here; the caller (a :class:`Transaction`)
-        has already expanded its operations into their net row effect.
+        The one successor builder: every update method above and the
+        transactional store's commit land here, so a whole delta —
+        tuples added, tuples removed, relations replaced wholesale —
+        becomes *one* :class:`StateDelta`, and the successor pays one
+        relation copy per touched relation and one kernel patch per
+        step.  No semantic propagation happens here; the caller (an
+        update method or a :class:`Transaction`) has already expanded
+        its operations into their net row effect.
 
         ``added``/``removed`` map relation names to row iterables;
         rows already present (for ``added``) or absent (for ``removed``)
         are filtered out, so the recorded delta is the genuine set
         difference.  A name may be patched or replaced, not both.  With
-        ``validate=False`` the schema/domain checks on introduced tuples
-        are skipped — only for rows the caller has itself validated
-        (e.g. a store replaying its own write-ahead log).  Returns
-        ``self`` when nothing changes.
+        ``validate=False`` the shape and domain checks on :class:`Tuple`
+        rows are skipped — only for rows the caller has itself validated
+        (an update method's projections and cascade victims, a
+        transaction's buffered rows, a store replaying its own
+        write-ahead log).  Returns ``self`` when nothing changes.
         """
+        added, removed = added or {}, removed or {}
         replaced = dict(replaced or {})
+        trusted = not validate
         new = dict(self._relations)
         net_added: dict[str, list[Tuple]] = {}
         net_removed: dict[str, list[Tuple]] = {}
-        for name, rel in replaced.items():
-            e = self._resolve(name)
-            if not isinstance(rel, Relation):
-                rel = Relation(e.attributes, rel)
-            if rel.schema != e.attributes:
-                raise ExtensionError(
-                    f"relation for {e.name!r} has schema {sorted(rel.schema)}, "
-                    f"expected {sorted(e.attributes)}"
-                )
-            if validate:
-                self._validate_domains(e, rel.tuples)
-            new[e] = rel
-        for name, rows in (removed or {}).items():
-            if name in replaced:
+        for name in replaced:
+            if name in added or name in removed:
                 raise ExtensionError(
                     f"{name!r} is both patched and replaced in one delta")
             e = self._resolve(name)
-            doomed = []
+            new[e] = self._checked(e, replaced[name], validate)
+        for name, rows in removed.items():
+            e = self._resolve(name)
             present = new[e].tuples
-            for row in rows:
-                t = row if isinstance(row, Tuple) else Tuple(dict(row))
-                if t.schema != e.attributes:
-                    raise ExtensionError(
-                        f"tuple schema {sorted(t.schema)} does not match "
-                        f"{e.name!r}")
-                if t in present:
-                    doomed.append(t)
+            doomed = [t for row in rows
+                      if (t := _as_tuple(e, row, trusted)) in present]
             if doomed:
                 new[e] = Relation._trusted(e.attributes,
-                                           new[e].tuples - set(doomed))
+                                           present.difference(doomed))
                 net_removed[e.name] = doomed
-        for name, rows in (added or {}).items():
-            if name in replaced:
-                raise ExtensionError(
-                    f"{name!r} is both patched and replaced in one delta")
+        for name, rows in added.items():
             e = self._resolve(name)
-            fresh = []
             present = new[e].tuples
-            seen: set[Tuple] = set()
-            for row in rows:
-                t = row if isinstance(row, Tuple) else Tuple(dict(row))
-                if t.schema != e.attributes:
-                    raise ExtensionError(
-                        f"tuple schema {sorted(t.schema)} does not match "
-                        f"{e.name!r}")
-                if t in present or t in seen:
-                    continue
-                if validate:
-                    self._validate_domains(e, [t])
-                seen.add(t)
-                fresh.append(t)
+            fresh: dict[Tuple, None] = {}
+            for row in rows:  # a loop: the common delta is one row
+                t = _as_tuple(e, row, trusted)
+                if t not in present:
+                    fresh[t] = None
             if fresh:
-                new[e] = Relation._trusted(e.attributes,
-                                           new[e].tuples | set(fresh))
-                net_added[e.name] = fresh
+                if validate:
+                    self._validate_domains(e, fresh)
+                # _trusted: the fresh tuples were validated above (or by
+                # the caller) and the existing ones by their own state.
+                new[e] = Relation._trusted(e.attributes, present.union(fresh))
+                net_added[e.name] = list(fresh)
         if not net_added and not net_removed and not replaced:
             return self
-        return DatabaseExtension._derived(
-            self, new, added=net_added, removed=net_removed,
-            replaced=tuple(replaced),
-        )
+        return DatabaseExtension._derived(self, new, net_added, net_removed,
+                                          tuple(replaced))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DatabaseExtension):
@@ -818,6 +749,16 @@ class DatabaseExtension:
     def __repr__(self) -> str:
         return (f"DatabaseExtension({len(self.schema)} types, "
                 f"{self.total_instances()} instances)")
+
+
+def _as_tuple(e: EntityType, row, trusted: bool = False) -> Tuple:
+    """``row`` as a :class:`Tuple`, refused unless its schema is ``A_e``;
+    a ``trusted`` :class:`Tuple` (validated by the caller) passes as is."""
+    t = row if isinstance(row, Tuple) else Tuple(dict(row))
+    if not (trusted and t is row) and t.schema != e.attributes:
+        raise ExtensionError(
+            f"tuple schema {sorted(t.schema)} does not match {e.name!r}")
+    return t
 
 
 def _copy_ea_report(report: dict) -> dict:

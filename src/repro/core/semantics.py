@@ -21,7 +21,8 @@ closure of ``A_e`` under that theory; otherwise
 :func:`counterexample_extension` produces the classical two-tuple witness,
 lifted to a full consistent database state.
 
-The reproduction finding documented in EXPERIMENTS.md lives here too:
+The reproduction finding of experiment E10
+(``benchmarks/bench_e10_armstrong.py``) lives here too:
 completeness of the syntactic system holds on schemas whose contexts are
 *union-closed*; :func:`completeness_gap_example` exhibits the minimal
 schema where a semantically valid dependency is underivable.
@@ -171,10 +172,10 @@ def is_intersection_closed(schema: Schema) -> bool:
     determined types, A2-decomposition reaches the pieces
     ``A_f intersect A_g`` (entity types by closure, hence members of the
     relevant ``G`` sets) and A2-union reassembles ``f`` from its
-    contributors — the induction the reproduction finding of EXPERIMENTS.md
-    (experiment E10) spells out.  The condition is sufficient, not
-    necessary: the employee schema is not intersection-closed yet shows no
-    gap for its natural premises.
+    contributors — the induction behind the reproduction finding of
+    experiment E10 (``benchmarks/bench_e10_armstrong.py``).  The
+    condition is sufficient, not necessary: the employee schema is not
+    intersection-closed yet shows no gap for its natural premises.
 
     Notably, the paper's section-2 design guidance pushes designers toward
     exactly this closure: "the occurrence of common attributes may

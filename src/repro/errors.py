@@ -59,10 +59,6 @@ class DependencyError(ReproError):
     """An ill-formed or inapplicable functional dependency."""
 
 
-class DerivationError(DependencyError):
-    """A requested FD derivation does not exist."""
-
-
 class ViewError(ReproError):
     """An ill-formed entity view type or an untranslatable view update."""
 
@@ -159,9 +155,8 @@ class DeadlineExceeded(StoreError):
     """A retried operation ran out of deadline before it succeeded.
 
     Raised by the retry loop of
-    :class:`~repro.server.failover.FailoverClient` (``run`` and the
-    queue flush), with the last underlying failure chained as
-    ``__cause__``, so the caller learns both *that* time ran out and
-    *why* the last attempt failed.
+    :class:`~repro.server.failover.FailoverClient`, with the last
+    underlying failure chained as ``__cause__``, so the caller learns
+    both *that* time ran out and *why* the last attempt failed.
     """
 

@@ -32,6 +32,7 @@ nothing downstream of it runs).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -419,19 +420,12 @@ class ChaosProxy:
     def stop(self) -> None:
         self._stopping = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._close(self._listener)
             self._listener = None
         with self._lock:
             pairs, self._pairs = self._pairs, []
         for a, b in pairs:
-            for s in (a, b):
-                try:
-                    s.close()
-                except OSError:
-                    pass
+            self._close(a, b)
         for t in [self._accept_thread, *self._threads]:
             if t is not None:
                 t.join(1.0)
@@ -470,12 +464,17 @@ class ChaosProxy:
                 t.start()
                 self._threads.append(t)
 
-    def _close_pair(self, a: socket.socket, b: socket.socket) -> None:
-        for s in (a, b):
-            try:
+    @staticmethod
+    def _close(*socks: socket.socket) -> None:
+        """Shut each socket down, then close it.  ``close`` alone does
+        not wake a thread blocked in ``accept`` or ``recv`` on the
+        socket: the pump reading a pair's other socket would stay
+        blocked, and :meth:`stop` would wait out its join timeout."""
+        for s in socks:
+            with contextlib.suppress(OSError):  # never connected, or gone
+                s.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):
                 s.close()
-            except OSError:
-                pass
 
     @staticmethod
     def _frame_op(frame: bytes) -> str | None:
@@ -512,12 +511,12 @@ class ChaosProxy:
                         held.append(frame)
                         continue
                     if not self._relay_frame(frame, dst, direction):
-                        self._close_pair(src, dst)
+                        self._close(src, dst)
                         return
                     while held:  # held frames ride behind the next one
                         late = held.pop(0)
                         if not self._relay_frame(late, dst, direction):
-                            self._close_pair(src, dst)
+                            self._close(src, dst)
                             return
         except OSError:
             pass
@@ -528,7 +527,7 @@ class ChaosProxy:
                 dst.sendall(late)
             except OSError:
                 break
-        self._close_pair(src, dst)
+        self._close(src, dst)
 
     def _relay_frame(self, frame: bytes, dst: socket.socket,
                      direction: str) -> bool:

@@ -58,13 +58,6 @@ def sweep_counts() -> dict[str, int]:
         return dict(_SWEEP_COUNTS)
 
 
-def reset_sweep_counts() -> None:
-    """Zero the sweep counters (test isolation)."""
-    with _SWEEP_LOCK:
-        for key in _SWEEP_COUNTS:
-            _SWEEP_COUNTS[key] = 0
-
-
 def dirty_group_keys(idx_sets: Iterable[tuple[int, ...]],
                      rows: Iterable[IdRow],
                      ) -> dict[tuple[int, ...], set[IdRow]]:

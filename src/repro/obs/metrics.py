@@ -1,7 +1,7 @@
 """Dependency-free metrics: counters, gauges, fixed-bucket histograms.
 
 The registry is the one place runtime counts live.  PRs 5-9 grew ad-hoc
-integer attributes (a server's commit count, a pool's evictions, a
+integer attributes (a server's commit count, a client's reconnects, a
 balancer's per-replica reads ...) that only tests ever read; this module
 gives them a shared, thread-safe home that the ``metrics`` wire op and the
 ``repro metrics`` CLI can serve uniformly.

@@ -39,7 +39,6 @@ from repro.server.failover import (
     RetryPolicy,
     promote,
 )
-from repro.server.pool import ClientPool
 from repro.server.protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -58,7 +57,6 @@ from repro.server.replica import ReplicaEngine
 from repro.server.server import StoreServer
 
 __all__ = [
-    "ClientPool",
     "Coordinator",
     "FailoverClient",
     "HealthMonitor",

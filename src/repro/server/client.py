@@ -1,14 +1,15 @@
 """A blocking socket client for the store's wire protocol.
 
-:class:`StoreClient` mirrors the embedded :class:`~repro.store.Session`
-API over a TCP connection: :meth:`StoreClient.run` ships a whole
-transaction as one ``commit`` frame, which the server commits onto the
-branch head, and raises the same exceptions — a rejected commit raises
+:meth:`StoreClient.run` takes the same argument as the embedded
+:meth:`repro.store.Session.run` — a list of op records (``{"op",
+"relation", "row"|"rows", "propagate"}``, the form the WAL logs) — and
+ships it as one ``commit`` frame, which the server commits onto the
+branch head with :meth:`~repro.store.Transaction.apply_records`.  It
+raises the same exceptions — a rejected commit raises
 :class:`CommitRejected` with the witness findings the server's axiom
-gate produced.  The client is deliberately simple and
-synchronous: tests, benchmarks, and the CLI drive it; concurrency comes
-from threads each holding their own client (see
-:class:`~repro.server.pool.ClientPool`).
+gate produced.  The client is deliberately simple and synchronous:
+tests, benchmarks, and the CLI drive it; concurrency comes from threads
+each holding their own client.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class StoreClient:
         means stale (responses must only ever arrive inside
         :meth:`request`, so stray bytes are a desynchronised stream);
         ``BlockingIOError`` — nothing to read — is the healthy case.
-        The pool consults this before handing out an idle client.
+        :class:`~repro.server.failover.FailoverClient` consults this
+        before reusing its held connection.
         """
         if self.sock.fileno() < 0:
             return True

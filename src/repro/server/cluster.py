@@ -183,9 +183,6 @@ class HealthMonitor:
         self._peers[str(peer_id)] = _Peer(str(peer_id), probe,
                                           self.clock())
 
-    def remove_peer(self, peer_id: str) -> None:
-        self._peers.pop(str(peer_id), None)
-
     def peer_ids(self) -> list[str]:
         return sorted(self._peers)
 

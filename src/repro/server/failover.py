@@ -22,9 +22,10 @@ the WAL, replicas can only follow it.  This module completes the loop:
 * :class:`FailoverClient` drives a fleet of addresses through a
   kill-and-promote event: it tracks the highest epoch it has seen and
   refuses stale primaries (client-side fencing), runs the one
-  backoff-and-deadline retry loop, queues writes until promotion
-  completes or the deadline lapses, and degrades reads through the
-  balancer's last rung to a replica within a bounded staleness budget.
+  backoff-and-deadline retry loop, retries each write until a
+  promotion completes or the deadline lapses, and degrades reads
+  through the balancer's last rung to a replica within a bounded
+  staleness budget.
 
 What promotion does — and does not — guarantee: every record durably
 in the log at promotion time is in the promoted graph (the
@@ -197,8 +198,7 @@ class ReadBalancer:
         ``{replica_id: (host, port)}`` — ids must match the monitor's
         peer ids when a monitor is supplied.
     primary:
-        The primary's address — the first fallback rung (and
-        re-targetable after a failover via :meth:`set_primary`).
+        The primary's address — the first fallback rung.
     staleness_budget:
         Per-replica freshness bound in WAL bytes: an int applies to
         every replica, a mapping sets per-replica budgets (missing ids
@@ -270,9 +270,6 @@ class ReadBalancer:
         if rid not in self._c_reads:
             self._c_reads[rid] = self.metrics.counter(
                 f"balancer.reads.{rid}")
-
-    def set_primary(self, address: Sequence) -> None:
-        self._primary = (str(address[0]), int(address[1]))
 
     # -- plumbing ------------------------------------------------------
     def _budget(self, replica_id: str) -> int | None:
@@ -471,11 +468,11 @@ class FailoverClient:
     it answers — the client can never be fooled into writing to the
     loser of a failover.
 
-    Write path: :meth:`run` (and the :meth:`queue`/:meth:`flush`
-    buffer) keeps trying — reconnecting through the candidate list
-    with the policy's backoff — until the commit lands or ``deadline``
-    seconds lapse (:class:`DeadlineExceeded`, last failure chained).
-    Fatal errors (a rejected commit) surface immediately.  A lost ack
+    Write path: :meth:`run` keeps trying — reconnecting through the
+    candidate list with the policy's backoff — until the commit lands
+    or ``deadline`` seconds lapse (:class:`DeadlineExceeded`, last
+    failure chained).  Fatal errors (a rejected commit) surface
+    immediately.  A lost ack
     (disconnect mid-commit) is retried; the store's validation makes
     re-running an already-applied insert/delete batch a no-op commit,
     so the retry is safe.
@@ -485,8 +482,8 @@ class FailoverClient:
     :class:`ReadBalancer` over the candidates — any replica whose
     reported ``behind_bytes`` is within ``staleness_budget`` (``None``
     budget = any replica), counted in ``balancer.*``.  Heartbeats
-    (:meth:`heartbeat`) and the pooled :meth:`StoreClient.is_stale`
-    peek detect dead peers between operations without a round trip.
+    (:meth:`heartbeat`) and the :meth:`StoreClient.is_stale` peek
+    detect dead peers between operations without a round trip.
     """
 
     def __init__(self, addresses: Iterable[Sequence],
@@ -506,7 +503,6 @@ class FailoverClient:
         self.timeout = timeout
         self.epoch = 0  # highest epoch witnessed; the client-side fence
         self._client: StoreClient | None = None
-        self._queue: list[list[dict]] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_reconnects = self.metrics.counter("failover.reconnects")
         self._c_fenced = self.metrics.counter("failover.fenced")
@@ -580,39 +576,14 @@ class FailoverClient:
             return False
 
     # -- writes --------------------------------------------------------
-    def run(self, ops: Iterable[dict],
-            deadline: float | None = None) -> dict:
-        """One transaction (``ops`` in one ``commit`` frame) against the
+    def run(self, ops: Iterable[dict]) -> dict:
+        """One transaction (``ops``, op records as for
+        :meth:`StoreClient.run`, in one ``commit`` frame) against the
         current primary, surviving reconnects and promotions until it
-        lands or the deadline lapses."""
+        lands or the client's ``deadline`` lapses."""
         ops = list(ops)
-        deadline = self.deadline if deadline is None else deadline
         return self._until(lambda c: c.run(ops),
-                           time.monotonic() + deadline)
-
-    def queue(self, ops: Iterable[dict]) -> int:
-        """Buffer a write batch for :meth:`flush` (the degraded mode
-        while no primary is reachable); returns the queue depth."""
-        self._queue.append(list(ops))
-        return len(self._queue)
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
-    def flush(self, deadline: float | None = None) -> list[dict]:
-        """Drain the write queue in order under one shared deadline.
-        Batches that landed stay landed — a lapsed deadline leaves the
-        unflushed suffix queued for the next flush."""
-        deadline = self.deadline if deadline is None else deadline
-        deadline_at = time.monotonic() + deadline
-        results: list[dict] = []
-        while self._queue:
-            ops = self._queue[0]
-            results.append(
-                self._until(lambda c: c.run(ops), deadline_at))
-            self._queue.pop(0)
-        return results
+                           time.monotonic() + self.deadline)
 
     def _until(self, op: Callable[[StoreClient], Any],
                deadline_at: float) -> Any:
@@ -694,5 +665,4 @@ class FailoverClient:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"FailoverClient({self.addresses}, epoch={self.epoch}, "
-                f"queued={len(self._queue)})")
+        return f"FailoverClient({self.addresses}, epoch={self.epoch})"

@@ -35,7 +35,7 @@ from repro.errors import EpochFenced, StoreError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.store.engine import StoreEngine
-from repro.store.wal import WalCursor, WriteAheadLog
+from repro.store.wal import WalCursor
 
 # catch_up's poll backoff: the first sleep, and the cap on its doubling.
 _MIN_INTERVAL = 0.0005
@@ -320,8 +320,3 @@ class ReplicaEngine:
         head = self._engine.graph.branches() if self._engine else None
         return (f"ReplicaEngine({self.wal_path}, ready={self.ready}, "
                 f"heads={head})")
-
-
-def segments_snapshot(wal_path: str | Path) -> list[str]:
-    """The log's current segment names (diagnostics for lag reports)."""
-    return [p.name for p in WriteAheadLog.segment_paths(wal_path)]

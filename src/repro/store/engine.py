@@ -233,6 +233,8 @@ class StoreEngine:
                     "replay it (StoreEngine.replay) or pick a new path")
             if not isinstance(wal, WriteAheadLog):
                 wal = WriteAheadLog(target, sync=sync)
+            wal.append(snapshot_record(root, self._constraint_set,
+                                       self.graph.root.vid, branch))
         self.wal = wal
         # Observability is detached by default; attach_observability
         # swaps in a real registry/tracer (servers do this on
@@ -245,17 +247,6 @@ class StoreEngine:
         self._obs_clock = _ZERO_CLOCK
         self._obs_hists: tuple | None = None
         self._obs_counters: dict | None = None
-        if wal is not None:
-            if _floor is None:
-                wal.append(snapshot_record(root, self._constraint_set,
-                                           self.graph.root.vid, branch))
-            else:
-                # A restored engine logging into a fresh WAL starts it
-                # with a checkpoint — the restored graph has no single
-                # self-contained root snapshot to offer.
-                wal.append(checkpoint_record(self.graph,
-                                             self._constraint_set,
-                                             epoch=self._epoch))
 
     def _vet_constraints(self) -> None:
         """Refuse ill-typed dependencies up front: the store judges them
@@ -686,9 +677,7 @@ class StoreEngine:
     @classmethod
     def replay(cls, wal_path: str | Path,
                verify: bool = False,
-               wal: WriteAheadLog | str | Path | None = None,
-               from_checkpoint: bool = True,
-               checkpoint_every: int | None = None) -> "StoreEngine":
+               from_checkpoint: bool = True) -> "StoreEngine":
         """Rebuild an engine (and its version graph) from a WAL.
 
         Recovery is crash-safe: :meth:`WriteAheadLog.repair` first
@@ -715,8 +704,9 @@ class StoreEngine:
         compared against the rebuilt states (a clean log replays
         identically; a tampered one raises); the default trusts the log
         and re-applies the operations directly, which still re-derives
-        every state and checks that version ids line up.  Pass ``wal``
-        to start logging the replayed store into a fresh log.
+        every state and checks that version ids line up.  The rebuilt
+        engine has no WAL; :meth:`adopt_wal` attaches the log it was
+        replayed from.
         """
         try:
             dropped = WriteAheadLog.repair(wal_path)
@@ -734,8 +724,7 @@ class StoreEngine:
         first = next(records, None)
         if first is None:
             raise StoreError(f"empty WAL: {wal_path}")
-        engine = cls.from_wal_record(first, verify=verify, wal=wal,
-                                     checkpoint_every=checkpoint_every)
+        engine = cls.from_wal_record(first, verify=verify)
         for record in records:
             engine.apply_wal_record(record, verify=verify)
         unread = cursor.behind_bytes()
@@ -747,10 +736,8 @@ class StoreEngine:
         return engine
 
     @classmethod
-    def from_wal_record(cls, record: dict, verify: bool = False,
-                        wal: WriteAheadLog | str | Path | None = None,
-                        checkpoint_every: int | None = None,
-                        ) -> "StoreEngine":
+    def from_wal_record(cls, record: dict,
+                        verify: bool = False) -> "StoreEngine":
         """An engine bootstrapped from one self-contained WAL record —
         a ``snapshot`` (the root state) or a ``checkpoint`` (every
         branch head restored as a floor version).  The entry point
@@ -763,12 +750,9 @@ class StoreEngine:
         if kind == "snapshot":
             db, constraint_set = io.database_from_dict(record["document"])
             return cls(db, constraint_set, branch=record["branch"],
-                       wal=wal, audit_root=verify,
-                       checkpoint_every=checkpoint_every)
+                       audit_root=verify)
         if kind == "checkpoint":
-            return cls._restore_checkpoint(
-                record, verify=verify, wal=wal,
-                checkpoint_every=checkpoint_every)
+            return cls._restore_checkpoint(record, verify=verify)
         raise StoreError(
             "WAL must start with a snapshot or checkpoint record, "
             f"got {kind!r}")
@@ -831,9 +815,7 @@ class StoreEngine:
     def _apply_epoch_record(self, record: dict) -> None:
         """Follow a logged promotion: cross-check the takeover point
         (the promoted primary stamped the seq/heads it caught up to)
-        and advance this engine's epoch.  A replay target logging into
-        a fresh WAL re-stamps the epoch there, so the fence history
-        survives re-logging."""
+        and advance this engine's epoch."""
         epoch = int(record.get("epoch", 0))
         if epoch <= self._epoch:
             raise StoreError(
@@ -848,9 +830,6 @@ class StoreEngine:
                 f"epoch drift: promotion stamped heads "
                 f"{record['heads']}, replayed graph has "
                 f"{self.graph.branches()}")
-        if self.wal is not None and self.wal.epoch < epoch:
-            self.wal.stamp_epoch(epoch, seq=record.get("seq"),
-                                 heads=record.get("heads"))
         self._epoch = epoch
 
     def adopt_wal(self, wal: WriteAheadLog) -> WriteAheadLog:
@@ -870,8 +849,7 @@ class StoreEngine:
         return wal
 
     @classmethod
-    def _restore_checkpoint(cls, record: dict, verify: bool, wal,
-                            checkpoint_every: int | None) -> "StoreEngine":
+    def _restore_checkpoint(cls, record: dict, verify: bool) -> "StoreEngine":
         """An engine whose graph starts at the checkpoint's floor: each
         branch head decoded from its document, the id sequence resumed
         from the recorded counter."""
@@ -890,10 +868,8 @@ class StoreEngine:
         entries.sort(key=lambda e: (int(e[0][1:]), e[1]))
         root_vid, root_branch, root_state = entries[0]
         engine = cls(root_state, constraint_set, branch=root_branch,
-                     wal=wal, audit_root=verify,
-                     checkpoint_every=checkpoint_every,
-                     _floor=(record["seq"], entries,
-                             int(record.get("epoch", 0))))
+                     audit_root=verify, _floor=(record["seq"], entries,
+                                                int(record.get("epoch", 0))))
         if verify:
             for vid, state in states.items():
                 if state is root_state:

@@ -132,21 +132,7 @@ class Session:
             raise StoreError("session is closed")
         return self.engine.commit(txn)
 
-    def run(self, ops) -> Version:
-        """Convenience: buffer ``(kind, relation, row_or_rows)`` op specs
-        into a fresh transaction and commit it."""
-        txn = self.begin()
-        for spec in ops:
-            kind, relation, payload = spec[0], spec[1], spec[2]
-            propagate = spec[3] if len(spec) > 3 else True
-            if kind == "insert":
-                txn.insert(relation, payload, propagate)
-            elif kind == "delete":
-                txn.delete(relation, payload, propagate)
-            elif kind == "remove":
-                txn.remove(relation, payload)
-            elif kind == "replace":
-                txn.replace(relation, payload)
-            else:
-                raise ValueError(f"unknown op kind {kind!r}")
-        return self.commit(txn)
+    def run(self, records) -> Version:
+        """Buffer op records (the WAL and wire form, parsed by
+        :meth:`Transaction.apply_records`) and commit them."""
+        return self.commit(self.begin().apply_records(records))

@@ -153,16 +153,11 @@ class Transaction:
                     f"{type(record).__name__}")
             kind = record.get("op")
             try:
-                if kind == "insert":
-                    self.insert(record["relation"], record["row"],
-                                record.get("propagate", True))
-                elif kind == "delete":
-                    self.delete(record["relation"], record["row"],
-                                record.get("propagate", True))
-                elif kind == "remove":
-                    self.remove(record["relation"], record["rows"])
-                elif kind == "replace":
-                    self.replace(record["relation"], record["rows"])
+                if kind in ("insert", "delete"):
+                    getattr(self, kind)(record["relation"], record["row"],
+                                        record.get("propagate", True))
+                elif kind in ("remove", "replace"):
+                    getattr(self, kind)(record["relation"], record["rows"])
                 else:
                     raise StoreError(f"unknown WAL op kind: {kind!r}")
             except KeyError as exc:
@@ -293,10 +288,6 @@ class Changes:
 
     def __bool__(self) -> bool:
         return bool(self.added or self.removed or self.replaced)
-
-    def touched(self) -> frozenset[str]:
-        return (frozenset(self.added) | frozenset(self.removed)
-                | frozenset(self.replaced))
 
     def __repr__(self) -> str:
         return (f"Changes(+{sum(map(len, self.added.values()))}, "

@@ -232,25 +232,18 @@ class WriteAheadLog:
             f"{self.epoch} and may no longer append",
             held=self.epoch, current=current)
 
-    def stamp_epoch(self, epoch: int | None = None,
-                    seq: int | None = None,
+    def stamp_epoch(self, seq: int | None = None,
                     heads: dict[str, str] | None = None) -> dict:
         """Open the next epoch: rotate to a fresh segment and append an
         ``epoch`` record (fsynced — a promotion that is not durable is
         no promotion), fencing every handle still on the old epoch.
 
-        ``epoch`` defaults to the successor of the newest epoch visible
-        in the log; ``seq``/``heads`` record where the graph stood at
+        The new epoch is the successor of the newest epoch visible in
+        the log; ``seq``/``heads`` record where the graph stood at
         takeover, so replay can cross-check.  Returns the record.
         """
         self._check_fence()  # two racing promotions: first stamp wins
-        current = self.current_epoch(self.path)
-        if epoch is None:
-            epoch = current + 1
-        if epoch <= current:
-            raise StoreError(
-                f"epoch must advance: log is at {current}, "
-                f"stamp asked for {epoch}")
+        epoch = self.current_epoch(self.path) + 1
         record = epoch_record(epoch, seq=seq, heads=heads)
         self.rotate()
         line = json.dumps(record, sort_keys=True)

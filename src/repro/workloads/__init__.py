@@ -19,6 +19,7 @@ from repro.workloads.sessions import (
     contended_commit_specs,
     disjoint_commit_specs,
     manager_stream,
+    op_record,
     random_txn_specs,
     serving_state,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "contended_commit_specs",
     "disjoint_commit_specs",
     "manager_stream",
+    "op_record",
     "random_txn_specs",
     "serving_state",
     "SHAPES",

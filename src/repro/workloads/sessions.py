@@ -4,10 +4,12 @@ The serving fixture is the five-type state of the axiom-sweep benches
 (two compound types, five containment pairs, constraints over three
 context relations) — relocated here so benches, the CLI ``serve``
 command, and the concurrency stress tests all drive the same shape.
-Traffic generators produce *op specs* — ``(kind, relation, payload[,
-propagate])`` tuples ready for :meth:`repro.store.Session.run` — rather
-than applying anything, so the same stream can be fed to a concurrent
-store, a single-threaded oracle, or a baseline engine.
+Traffic generators produce *op records* — ``{"op", "relation",
+"row"|"rows", "propagate"}`` dicts, the form the WAL logs and the wire
+``commit`` frame carries, parsed only by
+:meth:`repro.store.Transaction.apply_records` — rather than applying
+anything, so the same stream can be fed to an embedded session, a
+:class:`~repro.server.StoreClient`, or a single-threaded oracle.
 """
 
 from __future__ import annotations
@@ -103,32 +105,39 @@ def manager_stream(n: int, count: int) -> list[dict]:
     ]
 
 
+def op_record(kind: str, relation: str, row: dict,
+              propagate: bool = True) -> dict:
+    """One ``insert``/``delete`` op record."""
+    return {"op": kind, "relation": relation, "row": row,
+            "propagate": propagate}
+
+
 def disjoint_commit_specs(rows: list[dict], writers: int,
                           relation: str = "manager",
-                          ) -> list[list[list[tuple]]]:
-    """Round-robin ``rows`` into per-writer single-op commit specs:
-    ``result[w]`` is writer ``w``'s list of transactions, each
-    ``[("insert", relation, row)]`` — the disjoint-writer workload of
-    the throughput bench and the stress tests."""
-    out: list[list[list[tuple]]] = [[] for _ in range(writers)]
+                          ) -> list[list[list[dict]]]:
+    """Round-robin ``rows`` into per-writer single-op commits:
+    ``result[w]`` is writer ``w``'s list of transactions, each one
+    ``insert`` record — the disjoint-writer workload of the throughput
+    bench and the stress tests."""
+    out: list[list[list[dict]]] = [[] for _ in range(writers)]
     for i, row in enumerate(rows):
-        out[i % writers].append([("insert", relation, row)])
+        out[i % writers].append([op_record("insert", relation, row)])
     return out
 
 
 def contended_commit_specs(rows: list[dict], writers: int,
                            relation: str = "manager",
-                           ) -> list[list[list[tuple]]]:
+                           ) -> list[list[list[dict]]]:
     """Every writer gets *every* row (insert-wins races on identical
     rows plus footprint collisions) — the contended mix.  Duplicate
     inserts net to no-ops; the interesting part is that the store stays
     serializable while writers collide."""
-    return [[[("insert", relation, row)] for row in rows]
+    return [[[op_record("insert", relation, row)] for row in rows]
             for _ in range(writers)]
 
 
 def random_txn_specs(rng: random.Random, db: DatabaseExtension,
-                     n_txns: int, ops_per_txn: int = 2) -> list[list[tuple]]:
+                     n_txns: int, ops_per_txn: int = 2) -> list[list[dict]]:
     """Random mixed transactions over an arbitrary state: inserts of
     random in-domain rows and deletes of existing or random rows, with
     and without propagation.  Commits may legitimately be rejected
@@ -138,20 +147,22 @@ def random_txn_specs(rng: random.Random, db: DatabaseExtension,
 
     schema = db.schema
     types = sorted(schema, key=lambda t: t.name)
-    specs: list[list[tuple]] = []
+    specs: list[list[dict]] = []
     for _ in range(n_txns):
-        ops: list[tuple] = []
+        ops: list[dict] = []
         for _ in range(rng.randint(1, ops_per_txn)):
             e = rng.choice(types)
             if rng.random() < 0.6:
-                ops.append(("insert", e.name,
-                            random_tuple(rng, schema, e.attributes).as_dict(),
-                            rng.random() < 0.8))
+                ops.append(op_record(
+                    "insert", e.name,
+                    random_tuple(rng, schema, e.attributes).as_dict(),
+                    rng.random() < 0.8))
             else:
                 pool = sorted(db.R(e).tuples, key=repr)
                 row = rng.choice(pool).as_dict() if pool and \
                     rng.random() < 0.8 else \
                     random_tuple(rng, schema, e.attributes).as_dict()
-                ops.append(("delete", e.name, row, rng.random() < 0.8))
+                ops.append(op_record("delete", e.name, row,
+                                     rng.random() < 0.8))
         specs.append(ops)
     return specs

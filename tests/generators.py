@@ -271,20 +271,17 @@ def random_frame_message(rng: random.Random) -> dict:
 
 
 def audit_oracle(engine, ops) -> tuple:
-    """Judge one op spec against the engine's main head with the full
+    """Judge one transaction against the engine's main head with the full
     audit alone: the commit gate's differential oracle.
 
-    ``ops`` are ``(kind, relation, payload[, propagate])`` tuples (the
-    :meth:`Session.run` shape).  They are buffered on ``engine.begin()``,
-    netted against the head and applied without validation; the verdict
-    is ``"ok"`` iff ``check_all`` passes the candidate, and ``"noop"``
-    for an empty net delta.  Nothing is committed.  Returns ``(verdict,
-    txn, candidate)``."""
+    ``ops`` are op records (the :meth:`Session.run` form).  They are
+    buffered on ``engine.begin()``, netted against the head and applied
+    without validation; the verdict is ``"ok"`` iff ``check_all``
+    passes the candidate, and ``"noop"`` for an empty net delta.  Nothing
+    is committed.  Returns ``(verdict, txn, candidate)``."""
     from repro.core import check_all
 
-    txn = engine.begin()
-    for spec in ops:
-        getattr(txn, spec[0])(*spec[1:])
+    txn = engine.begin().apply_records(ops)
     head = engine.state(branch=txn.branch)
     changes = txn.net_changes(head)
     if not changes:

@@ -329,13 +329,14 @@ class TestCheckpointGc:
 def committed_wal(tmp_path):
     """A closed primary WAL with one committed write."""
     from repro.store import Session, StoreEngine
-    from repro.workloads import manager_stream, serving_state
+    from repro.workloads import manager_stream, op_record, serving_state
 
     schema, db, constraints = serving_state(8)
     wal = tmp_path / "primary.jsonl"
     engine = StoreEngine(db, constraints, wal=wal)
     session = Session(engine)
-    session.run([("insert", "manager", manager_stream(8, 1)[0])])
+    session.run([op_record("insert", "manager",
+                           manager_stream(8, 1)[0])])
     engine.close()
     return wal
 
@@ -458,11 +459,11 @@ class TestOneLayout:
     def test_migration_recipe(self, committed_wal, tmp_path, capsys):
         from repro.server import ReplicaEngine, promote
         from repro.store import Session, StoreEngine, WriteAheadLog
-        from repro.workloads import manager_stream
+        from repro.workloads import manager_stream, op_record
 
         promoted = promote(ReplicaEngine(committed_wal))
         Session(promoted).run(
-            [("insert", "manager", manager_stream(8, 2)[1])])
+            [op_record("insert", "manager", manager_stream(8, 2)[1])])
         promoted.close()
         old = _one_file_log(committed_wal, tmp_path / "old.wal")
         migrated = tmp_path / "migrated"

@@ -787,12 +787,9 @@ class TestKillAndHealSweep:
         # in the promoted head.
         with StoreServer(promoted) as successor:
             fc.add_address(successor.address)
-            fc.queue([{"op": "insert", "relation": "manager",
-                       "row": rows[pre]}])
-            fc.queue([{"op": "insert", "relation": "manager",
-                       "row": rows[pre + 1]}])
-            results = fc.flush()
-            assert len(results) == 2, recipe
+            for i in (pre, pre + 1):
+                fc.run([{"op": "insert", "relation": "manager",
+                         "row": rows[i]}])
             assert fc.epoch == 1, recipe
             head = fc.read("manager")
         fc.close()

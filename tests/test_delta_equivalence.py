@@ -507,6 +507,97 @@ class TestUpdateValidation:
         assert db._relations == before
 
 
+# ----------------------------------------------------------------------
+# apply_changes as the one successor builder
+# ----------------------------------------------------------------------
+class TestOneSuccessorBuilder:
+    """``insert``/``delete``/``remove_tuples``/``replace`` each work out
+    a row delta and hand it to ``apply_changes``: the successor records
+    exactly the rows that changed, and shares every untouched relation
+    with its parent."""
+
+    @pytest.fixture()
+    def db(self):
+        from repro.core.employee import employee_extension
+
+        return employee_extension()
+
+    def test_propagating_insert_records_only_new_projections(self, db):
+        bob = {"name": "bob", "age": 42, "depname": "research"}
+        new = db.insert("manager", {**bob, "budget": 100})
+        # bob is already an employee and a person: only R_manager grows.
+        assert dict(new._delta.added) == {
+            "manager": tuple(new.R("manager").tuples
+                             - db.R("manager").tuples)}
+        assert not new._delta.removed and not new._delta.replaced
+        for e in db.schema:
+            if e.name != "manager":
+                assert new._relations[e] is db._relations[e]
+
+        eva = {"name": "eva", "age": 35, "depname": "sales", "budget": 500}
+        newer = db.insert("manager", eva)
+        manager = db.schema["manager"]
+        expected = {"manager", *(g.name for g in
+                                 db.gen.proper_generalisations(manager))}
+        assert set(newer._delta.added) == expected
+        for name in expected:
+            assert newer.R(name).tuples - db.R(name).tuples == \
+                set(newer._delta.added[name])
+
+    def test_cascading_delete_same_with_and_without_kernel(self):
+        """``delete`` finds its cascade victims through the partition
+        index of an interned state and by a projection scan otherwise;
+        both must pick the same rows."""
+        from repro.core.extension import DatabaseExtension
+        from repro.workloads.extensions import random_tuple
+
+        compared = 0
+        for seed in range(N_CHAIN_SEEDS):
+            rng = random.Random(seed)
+            (schema, db), *_ = random_database_states(rng)
+            interned = db
+            interned.kernel  # the partition-index route
+            scanned = DatabaseExtension(
+                schema, {e.name: db.R(e) for e in schema})
+            assert scanned._kernel is None  # the projection-scan route
+            for e in sorted(schema, key=lambda t: t.name):
+                rows = sorted(db.R(e).tuples, key=repr)[:2]
+                rows.append(random_tuple(rng, schema, e.attributes))
+                for row in rows:
+                    a = interned.delete(e.name, row)
+                    b = scanned.delete(e.name, row)
+                    assert a == b, f"seed={seed} {e.name} {row}"
+                    if a is interned:
+                        assert b is scanned
+                        continue
+                    assert {n: set(ts) for n, ts in a._delta.removed.items()} \
+                        == {n: set(ts) for n, ts in b._delta.removed.items()}
+                    compared += 1
+        assert compared >= 100
+
+    def test_remove_tuples_and_replace_record_their_delta(self, db):
+        ann = {"name": "ann", "age": 31, "depname": "sales", "budget": 250}
+        ghost = {"name": "dee", "age": 53, "depname": "sales", "budget": 100}
+        dropped = db.remove_tuples("manager", [ann, ghost])
+        assert [t.as_dict() for t in dropped._delta.removed["manager"]] \
+            == [ann]  # the absent row is not recorded
+        assert not dropped._delta.added and not dropped._delta.replaced
+        assert dropped.R("employee") is db.R("employee")  # no cascade
+
+        swapped = db.replace("department",
+                             [{"depname": "sales", "location": "utrecht"}])
+        assert swapped._delta.replaced == {"department"}
+        assert not swapped._delta.added and not swapped._delta.removed
+        assert len(swapped.R("department")) == 1
+
+    def test_patch_and_replace_of_one_relation_is_refused(self, db):
+        with pytest.raises(ExtensionError, match="both patched and replaced"):
+            db.apply_changes(
+                added={"department": [{"depname": "sales",
+                                       "location": "utrecht"}]},
+                replaced={"department": []})
+
+
 class TestInstanceMemoLRU:
     def test_eviction_is_lru_not_wholesale(self):
         from repro.kernel import instance as instance_mod

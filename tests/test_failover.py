@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import shutil
 import socket
-import threading
 import time
 import warnings
 from random import Random
@@ -28,7 +27,6 @@ from repro.errors import (
 from repro.faults import FaultPlan, FaultyWal, InjectedCrash
 from repro.io import encode_frame
 from repro.server import (
-    ClientPool,
     FailoverClient,
     ReplicaEngine,
     RetryPolicy,
@@ -252,11 +250,11 @@ class TestRetryPolicy:
         fc = FailoverClient([("127.0.0.1", 1)],  # nothing listens here
                             policy=RetryPolicy(base_delay=5.0,
                                                max_delay=5.0, seed=0),
-                            timeout=0.2)
+                            deadline=0.05, timeout=0.2)
         start = time.monotonic()
         with pytest.raises(DeadlineExceeded) as caught:
             fc.run([{"op": "insert", "relation": "manager",
-                     "row": manager_stream(30, 1)[0]}], deadline=0.05)
+                     "row": manager_stream(30, 1)[0]}])
         assert time.monotonic() - start < 1.0  # never slept 5 s
         assert isinstance(caught.value.__cause__, OSError)
         assert fc.metrics.snapshot()["counters"]["failover.retries"] == 0
@@ -270,12 +268,11 @@ class TestRetryPolicy:
         engine = _mk_engine()
         with StoreServer(engine) as server:  # serves epoch 0
             with FailoverClient([server.address], policy=policy,
-                                timeout=0.5) as fc:
+                                deadline=0.3, timeout=0.5) as fc:
                 fc.epoch = 1  # the client has seen a promotion
                 with pytest.raises(DeadlineExceeded) as caught:
                     fc.run([{"op": "insert", "relation": "manager",
-                             "row": manager_stream(30, 1)[0]}],
-                           deadline=0.3)
+                             "row": manager_stream(30, 1)[0]}])
                 assert isinstance(caught.value.__cause__, EpochFenced)
                 counters = fc.metrics.snapshot()["counters"]
                 assert counters["failover.retries"] >= 1
@@ -330,7 +327,7 @@ class TestWireEpoch:
 
 
 # ----------------------------------------------------------------------
-# idle timeout & pool eviction
+# idle timeout
 # ----------------------------------------------------------------------
 class TestIdleTimeout:
     def test_rejects_non_positive_timeout(self):
@@ -385,113 +382,6 @@ class TestIdleTimeout:
                     time.sleep(0.1)
                     assert client.ping()  # traffic resets the clock
         engine.close()
-
-
-class TestPoolEviction:
-    def test_stale_pooled_client_is_evicted_on_acquire(self):
-        engine = _mk_engine()
-        server = StoreServer(engine)
-        server.start_background()
-        host, port = server.address
-        pool = ClientPool(host, port, size=1)  # the next acquire must
-        # draw the pooled corpse, not an undialled slot
-        with pool.acquire() as client:
-            assert client.ping()
-        server.stop()  # the pooled socket is now dead
-        server2 = StoreServer(engine, host=host, port=port)
-        server2.start_background()
-        try:
-            with pool.acquire() as client:
-                assert client.ping()  # fresh dial, not the corpse
-            assert pool.metrics.snapshot()["counters"]["pool.evicted"] == 1
-        finally:
-            pool.close()
-            server2.stop()
-            engine.close()
-
-
-@pytest.mark.slow
-class TestPoolUnderChurn:
-    def test_concurrent_borrowers_survive_server_churn(self):
-        """Seeded churn: worker threads acquire/ping/release against a
-        server that a churn thread keeps killing and restarting on the
-        same port, so stale-peek eviction races real disconnects and
-        failed dials.  The invariant under fire is slot conservation —
-        after the dust settles a ``size``-deep nest of acquires must
-        still succeed, which it cannot if any error path leaked a
-        slot."""
-        for seed in chaos_seeds(3):
-            engine = _mk_engine()
-            sizer = StoreServer(engine)
-            sizer.start_background()
-            host, port = sizer.address
-            sizer.stop()  # the port is now ours to churn on
-            stop_churn = threading.Event()
-
-            def churn():
-                rng = Random(seed)
-                while not stop_churn.is_set():
-                    try:
-                        server = StoreServer(engine, host=host,
-                                             port=port)
-                        server.start_background()
-                    except OSError:
-                        time.sleep(0.01)  # port not released yet
-                        continue
-                    time.sleep(rng.uniform(0.05, 0.15))
-                    server.stop()
-                    time.sleep(rng.uniform(0.0, 0.03))
-
-            pool = ClientPool(host, port, size=3)
-            successes = []
-
-            def worker(wseed):
-                rng = Random(wseed)
-                won = 0
-                for _ in range(40):
-                    try:
-                        with pool.acquire() as client:
-                            client.ping()
-                        won += 1
-                    except (ProtocolError, OSError, StoreError):
-                        pass  # a kill mid-borrow: the slot must free
-                    time.sleep(rng.uniform(0.0, 0.005))
-                successes.append(won)
-
-            churner = threading.Thread(target=churn)
-            workers = [threading.Thread(target=worker,
-                                        args=(seed * 100 + i,))
-                       for i in range(6)]
-            churner.start()
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-            stop_churn.set()
-            churner.join(timeout=10)
-            assert not any(w.is_alive() for w in workers), (
-                f"borrower deadlocked under churn: seed={seed}")
-            assert sum(successes) > 0, f"seed={seed}"
-            # Slot conservation: with a stable server back, the full
-            # pool depth must still be acquirable at once.
-            stable = StoreServer(engine, host=host, port=port)
-            stable.start_background()
-
-            def drain():
-                with pool.acquire() as a, pool.acquire() as b, \
-                        pool.acquire() as c:
-                    assert a.ping() and b.ping() and c.ping()
-
-            guard = threading.Thread(target=drain)
-            guard.start()
-            guard.join(timeout=10)
-            evicted = pool.metrics.snapshot()["counters"]["pool.evicted"]
-            assert not guard.is_alive(), (
-                f"pool leaked a slot under churn: seed={seed} "
-                f"evicted={evicted}")
-            pool.close()
-            stable.stop()
-            engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -629,42 +519,11 @@ class TestFailoverClient:
         fc = FailoverClient([("127.0.0.1", 1)],  # nothing listens here
                             policy=RetryPolicy(
                                 seed=0, base_delay=0.01, max_delay=0.05),
-                            timeout=0.2)
+                            deadline=0.3, timeout=0.2)
         with pytest.raises(DeadlineExceeded) as caught:
             fc.run([{"op": "insert", "relation": "manager",
-                     "row": manager_stream(30, 1)[0]}], deadline=0.3)
+                     "row": manager_stream(30, 1)[0]}])
         assert caught.value.__cause__ is not None
-        fc.close()
-        engine.close()
-
-    def test_queue_and_flush_land_in_order(self):
-        engine = _mk_engine()
-        rows = manager_stream(30, 3)
-        with StoreServer(engine) as server:
-            with FailoverClient([server.address]) as fc:
-                assert fc.queue([{"op": "insert", "relation": "manager",
-                                  "row": rows[0]}]) == 1
-                assert fc.queue([{"op": "insert", "relation": "manager",
-                                  "row": rows[1]}]) == 2
-                assert fc.queued == 2
-                results = fc.flush()
-                assert len(results) == 2 and fc.queued == 0
-                head = fc.read("manager")
-                assert rows[0] in head and rows[1] in head
-        engine.close()
-
-    def test_lapsed_flush_keeps_the_unflushed_suffix(self):
-        engine = _mk_engine()
-        rows = manager_stream(30, 2)
-        fc = FailoverClient([("127.0.0.1", 1)],
-                            policy=RetryPolicy(
-                                seed=0, base_delay=0.01, max_delay=0.05),
-                            timeout=0.2)
-        fc.queue([{"op": "insert", "relation": "manager", "row": rows[0]}])
-        fc.queue([{"op": "insert", "relation": "manager", "row": rows[1]}])
-        with pytest.raises(DeadlineExceeded):
-            fc.flush(deadline=0.2)
-        assert fc.queued == 2  # nothing landed, nothing lost
         fc.close()
         engine.close()
 
@@ -745,8 +604,9 @@ class TestPromotionDurability:
 class TestKillAndPromoteWorkload:
     def test_no_acked_commit_is_ever_lost(self, tmp_path):
         """The acceptance workload, three seeds: write through a
-        primary, kill it, queue writes, promote the replica, flush —
-        every acknowledged commit must be in the promoted graph."""
+        primary, kill it, promote the replica, write through the
+        successor — every acknowledged commit must be in the promoted
+        graph."""
         for i, seed in enumerate(chaos_seeds(3)):
             wal = tmp_path / f"w-{seed}.jsonl"
             engine = _mk_engine(n=60, wal=wal)
@@ -767,15 +627,13 @@ class TestKillAndPromoteWorkload:
                                    "row": rows[base]}])))
             primary.stop()  # the kill
             replica.sync()  # the tail was durable before the kill
-            fc.queue([{"op": "insert", "relation": "manager",
-                       "row": rows[base + 1]}])
-            fc.queue([{"op": "insert", "relation": "manager",
-                       "row": rows[base + 2]}])
             promoted = promote(replica)
             with StoreServer(promoted) as successor:
                 fc.add_address(successor.address)
-                results = fc.flush()
-                acked.extend(zip(rows[base + 1:base + 3], results))
+                for row in rows[base + 1:base + 3]:
+                    acked.append((row, fc.run([{
+                        "op": "insert", "relation": "manager",
+                        "row": row}])))
                 assert fc.epoch == 1, f"seed={seed}"
                 head = fc.read("manager")
             fc.close()

@@ -368,6 +368,22 @@ class TestChaosProxy:
                 assert client.ping()
                 assert time.monotonic() - start >= 0.25
 
+    def test_stop_wakes_pumps_blocked_on_an_idle_pair(self, server):
+        """Both pumps of an open, idle pair sit in ``recv`` and the
+        accept thread in ``accept``; ``stop`` must wake all three at
+        once rather than wait out each thread's join timeout."""
+        proxy = ChaosProxy(server.address, FaultPlan(seed=0))
+        proxy.start()
+        with StoreClient(*proxy.address, hello=False) as client:
+            assert client.ping()  # the pair and its pumps are live
+            threads = [proxy._accept_thread, *proxy._threads]
+            assert len(threads) == 3
+            start = time.monotonic()
+            proxy.stop()
+            elapsed = time.monotonic() - start
+        assert not any(t.is_alive() for t in threads)
+        assert elapsed < 0.5, f"stop took {elapsed:.2f} s"
+
 
 @pytest.mark.slow
 class TestChaosSweep:

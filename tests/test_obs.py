@@ -32,7 +32,6 @@ from repro.obs import (
     Tracer,
 )
 from repro.server import (
-    ClientPool,
     ReadBalancer,
     ReplicaEngine,
     StoreClient,
@@ -490,13 +489,3 @@ class TestThinViews:
                         "balancer.reads.r2": 0}
         assert "balancer.reads.r2" in repr(balancer)
         balancer.close()
-
-    def test_pool_eviction_counter_is_registry_backed(self):
-        engine = _mk_engine()
-        with StoreServer(engine) as server:
-            with ClientPool(*server.address, size=1) as pool:
-                with pool.acquire() as client:
-                    assert client.ping()
-                snap = pool.metrics.snapshot()["counters"]
-                assert snap["pool.dials"] == 1
-                assert snap["pool.evicted"] == 0

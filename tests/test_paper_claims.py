@@ -1,8 +1,8 @@
 """Every checkable claim of the paper, one test per claim.
 
 This is the reproduction's contract: each test cites the section and the
-sentence it validates.  EXPERIMENTS.md indexes these as experiments
-E1-E12.
+sentence it validates.  ``benchmarks/bench_e*.py`` reproduce the matching
+experiments E1-E13.
 """
 
 import random
@@ -225,8 +225,9 @@ class TestSection52Armstrong:
 
     def test_global_completeness_on_closed_schemas(self):
         """Completeness half: exact agreement on intersection-closed
-        schemas (the reproduction's precise reading — see EXPERIMENTS.md
-        E10 for the open-schema counterexample)."""
+        schemas (the reproduction's precise reading — see
+        ``completeness_gap_example`` in ``repro.core.semantics`` for the
+        open-schema counterexample)."""
         from repro.core import is_intersection_closed
         from repro.workloads import intersection_close
 

@@ -24,7 +24,7 @@ from repro.store import Session, StoreEngine, WalCursor, WriteAheadLog
 from repro.workloads.sessions import manager_stream, serving_state
 
 from generators import last_segment, random_database_states
-from repro.workloads import random_txn_specs
+from repro.workloads import op_record, random_txn_specs
 
 SEEDS = range(25)  # 25 seeds x ~8-16 versions each => 200+ state checks
 
@@ -121,7 +121,7 @@ class TestLiveTailDifferential:
                              checkpoint_every=3)
         session = Session(engine)
         for row in manager_stream(8, 4):
-            session.run([("insert", "manager", row)])
+            session.run([op_record("insert", "manager", row)])
         engine.close()
         replica = ReplicaEngine(wal_dir, from_checkpoint=False,
                                 verify=True)
@@ -143,7 +143,7 @@ class TestLiveTailDifferential:
             "manager", [t.as_dict() for t in keep]))
         session = Session(engine)
         for row in manager_stream(8, 3):
-            session.run([("insert", "manager", row)])
+            session.run([op_record("insert", "manager", row)])
         engine.close()
         replica = ReplicaEngine(wal_dir, verify=verify)
         replica.catch_up()
@@ -184,7 +184,7 @@ class TestCheckpointBootstrap:
                              checkpoint_every=2)
         session = Session(engine)
         for row in manager_stream(8, 5):
-            session.run([("insert", "manager", row)])
+            session.run([op_record("insert", "manager", row)])
         engine.close()
         replica = ReplicaEngine(path)
         replica.catch_up()
@@ -339,7 +339,7 @@ class TestStalenessReport:
 
         session = Session(engine)
         rows = manager_stream(8, 4)
-        session.run([("insert", "manager", rows[0])])
+        session.run([op_record("insert", "manager", rows[0])])
         replica.catch_up()
         status = replica.status()
         assert status["ready"] is True
@@ -350,7 +350,7 @@ class TestStalenessReport:
 
         # fresh primary commits show up as measurable lag ...
         for row in rows[1:]:
-            session.run([("insert", "manager", row)])
+            session.run([op_record("insert", "manager", row)])
         assert replica.behind_bytes() > 0
         assert replica.lag()["current"] is False
         # ... and vanish after a sync
@@ -377,7 +377,7 @@ class TestServedBeforeFirstSync:
         wal = tmp_path / "w.log"
         engine = StoreEngine(db, constraints, wal=wal)
         row = manager_stream(6, 1)[0]
-        Session(engine).run([("insert", "manager", row)])
+        Session(engine).run([op_record("insert", "manager", row)])
         engine.close()
         replica = ReplicaEngine(wal)
         assert not replica.ready
@@ -401,7 +401,8 @@ class TestCatchUp:
         wal = tmp_path / "torn.jsonl"
         engine = StoreEngine(db, constraints, wal=wal)
         session = Session(engine)
-        session.run([("insert", "manager", manager_stream(n, 1)[0])])
+        session.run([op_record("insert", "manager",
+                               manager_stream(n, 1)[0])])
         engine.close()
         with open(last_segment(wal), "ab") as f:
             f.write(b'{"type": "commit", "ver')  # forever half-written

@@ -21,7 +21,7 @@ import threading
 import pytest
 
 from repro.errors import CommitRejected, StoreError
-from repro.server import ClientPool, ReplicaEngine, StoreClient, StoreServer
+from repro.server import ReplicaEngine, StoreClient, StoreServer
 from repro.store import StoreEngine, Transaction, WriteAheadLog
 from repro.workloads import (
     contended_commit_specs,
@@ -54,21 +54,6 @@ def _assert_serializable(engine, branch="main"):
     return state
 
 
-def _specs_to_records(ops):
-    """``(kind, relation, row[, propagate])`` specs as wire op records."""
-    records = []
-    for spec in ops:
-        kind, relation, payload = spec[0], spec[1], spec[2]
-        propagate = spec[3] if len(spec) > 3 else True
-        record = {"op": kind, "relation": relation, "propagate": propagate}
-        if kind in ("insert", "delete"):
-            record["row"] = payload
-        else:
-            record["rows"] = payload
-        records.append(record)
-    return records
-
-
 def _drive_over_wire(server, per_writer_specs, engine):
     """One socket client per writer, each committing its spec list;
     returns (committed, rejected) with committed read off graph
@@ -85,7 +70,7 @@ def _drive_over_wire(server, per_writer_specs, engine):
             with StoreClient(*server.address) as client:
                 for ops in specs:
                     try:
-                        client.run(_specs_to_records(ops))
+                        client.run(ops)
                     except CommitRejected:
                         rejected += 1
         except Exception as exc:  # pragma: no cover - surfaced below
@@ -139,9 +124,9 @@ class TestWireSerializability:
         _assert_serializable(engine)
         assert engine.audit().ok()
 
-    def test_mixed_random_traffic_over_pool(self):
-        """Random mixed transactions through a bounded ClientPool —
-        rejections are traffic; serializability is the invariant."""
+    def test_mixed_random_traffic_one_client_per_writer(self):
+        """Random mixed transactions, one connection per writer thread
+        — rejections are traffic; serializability is the invariant."""
         n, writers = 80, 5
         engine = _engine(n)
         rng = random.Random(11)
@@ -150,14 +135,12 @@ class TestWireSerializability:
         counts = {"errors": []}
 
         with StoreServer(engine) as server:
-            pool = ClientPool(*server.address, size=3)
-
             def worker(shard):
                 try:
-                    for ops in shard:
-                        with pool.acquire() as client:
+                    with StoreClient(*server.address) as client:
+                        for ops in shard:
                             try:
-                                client.run(_specs_to_records(ops))
+                                client.run(ops)
                             except (CommitRejected, StoreError):
                                 pass  # rejected traffic is traffic
                 except Exception as exc:  # pragma: no cover
@@ -169,7 +152,6 @@ class TestWireSerializability:
                 t.start()
             for t in threads:
                 t.join()
-            pool.close()
         assert not counts["errors"]
         _assert_serializable(engine)
         assert engine.audit().ok()

@@ -122,21 +122,42 @@ class TestTransactionBuffering:
             (schema, db), *_ = random_database_states(rng)
             specs = random_txn_specs(rng, db, 6)
             for ops in specs:
-                txn = Transaction(schema, "main")
+                txn = Transaction.from_records(schema, "main", ops)
                 oracle = db
-                for spec in ops:
-                    kind, rel, payload = spec[0], spec[1], spec[2]
-                    propagate = spec[3] if len(spec) > 3 else True
-                    if kind == "insert":
-                        txn.insert(rel, payload, propagate)
-                        oracle = oracle.insert(rel, payload, propagate)
-                    else:
-                        txn.delete(rel, payload, propagate)
-                        oracle = oracle.delete(rel, payload, propagate)
+                for op in ops:
+                    update = getattr(oracle, op["op"])
+                    oracle = update(op["relation"], op["row"],
+                                    op["propagate"])
                 changes = txn.net_changes(db)
                 derived = db.apply_changes(changes.added, changes.removed,
                                            changes.replaced)
                 assert derived == oracle
+
+    def test_spec_generators_emit_op_records(self):
+        """Every workload spec generator emits op records that
+        ``Transaction.from_records`` buffers as given."""
+        from repro.workloads import (
+            contended_commit_specs,
+            disjoint_commit_specs,
+        )
+
+        schema, db, _ = serving_state(60)
+        rows = manager_stream(60, 6)
+        batches = [ops for writer in disjoint_commit_specs(rows, 4)
+                   for ops in writer]
+        batches += [ops for writer in contended_commit_specs(rows, 2)
+                    for ops in writer]
+        batches += random_txn_specs(random.Random(3), db, 20, 3)
+        assert len(batches) == 6 + 12 + 20
+        for ops in batches:
+            for op in ops:
+                assert set(op) == {"op", "relation", "row", "propagate"}
+                assert op["op"] in ("insert", "delete")
+                assert isinstance(op["row"], dict)
+            txn = Transaction.from_records(schema, "main", ops)
+            assert [(o.kind, o.relation, o.propagate) for o in txn.ops] \
+                == [(op["op"], op["relation"], op["propagate"])
+                    for op in ops]
 
 
 class TestCommitGate:
@@ -331,6 +352,38 @@ class TestSessions:
         with pytest.raises(StoreError, match="closed"):
             session.commit(Transaction(engine.schema, "main"))
 
+    def test_run_commits_op_records_in_order(self):
+        """``run`` takes the WAL/wire op records: an insert and a later
+        non-propagating delete of the same row in one call net to the
+        insert's projections alone, as the object-level chain does."""
+        engine = _mk_engine()
+        session = Session(engine)
+        base = engine.head_version().state
+        row = manager_stream(60, 1)[0]
+        version = session.run([
+            {"op": "insert", "relation": "manager", "row": row},
+            {"op": "delete", "relation": "manager", "row": row,
+             "propagate": False},
+        ])
+        oracle = base.insert("manager", row).delete("manager", row,
+                                                    propagate=False)
+        assert version.state == oracle
+        assert row not in session.read("manager")
+
+    def test_run_refuses_tuple_specs(self):
+        """Op records are the only op form: a ``(kind, relation, row)``
+        tuple is refused before anything commits."""
+        engine = _mk_engine()
+        session = Session(engine)
+        head = engine.head_version()
+        row = manager_stream(60, 1)[0]
+        with pytest.raises(StoreError, match="must be an object"):
+            session.run([("insert", "manager", row)])
+        with pytest.raises(StoreError, match="unknown WAL op kind"):
+            session.run([{"kind": "insert", "relation": "manager",
+                          "row": row}])
+        assert engine.head_version() is head
+
 
 
 class TestValidationPlan:
@@ -466,21 +519,6 @@ class TestWalReplay:
                 assert orig.parent is None or \
                     orig.parent.vid == copy.parent.vid
             assert engine.graph.branches() == replayed.graph.branches()
-
-    def test_replay_into_fresh_wal_is_equivalent(self, tmp_path):
-        first = tmp_path / "a.wal"
-        second = tmp_path / "b.wal"
-        engine = _mk_engine(30, wal=first)
-        session = Session(engine)
-        for row in manager_stream(30, 2):
-            session.commit(session.begin().insert("manager", row))
-        engine.close()
-        replayed = StoreEngine.replay(first, wal=second)
-        replayed.close()
-        again = StoreEngine.replay(second)
-        assert [v.vid for v in again.graph.log()] == \
-            [v.vid for v in engine.graph.log()]
-        assert again.state() == engine.state()
 
 
 class TestStoreWithChainCap:

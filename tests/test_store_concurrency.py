@@ -120,13 +120,6 @@ class TestDisjointWriters:
         assert engine.audit().ok()
 
 
-def _buffer(txn, ops):
-    """Buffer ``(kind, relation, payload[, propagate])`` specs."""
-    for spec in ops:
-        getattr(txn, spec[0])(*spec[1:])
-    return txn
-
-
 class TestCommitRule:
     """The differential form of the one commit rule: a transaction
     buffered before k other commits lands exactly as the same ops
@@ -134,7 +127,7 @@ class TestCommitRule:
 
     @staticmethod
     def _moving_history(rng, db, count):
-        """At least ``count`` random op specs, drawn until one of them
+        """At least ``count`` random transactions, drawn until one of them
         commits — so the head the early transaction began at moves."""
         engine = StoreEngine(db, ())
         session = Session(engine)
@@ -161,8 +154,8 @@ class TestCommitRule:
             wal = tmp_path / mode
             engine = StoreEngine(db, (), wal=wal)
             session = Session(engine)
-            txn = _buffer(engine.begin(), probe) if mode == "early" \
-                else None
+            txn = engine.begin().apply_records(probe) \
+                if mode == "early" else None
             for ops in others:
                 try:
                     session.run(ops)
@@ -170,7 +163,7 @@ class TestCommitRule:
                     pass
             assert len(engine.graph) > 1, "no other commit landed"
             if txn is None:
-                txn = _buffer(engine.begin(), probe)
+                txn = engine.begin().apply_records(probe)
             try:
                 outcome = engine.commit(txn).vid
             except CommitRejected as exc:

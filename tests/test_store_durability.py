@@ -356,26 +356,6 @@ class TestCheckpoint:
         full = StoreEngine.replay(wal, from_checkpoint=False)
         assert full.graph.branches()["old"] == "v1"
 
-    def test_restored_engine_starts_fresh_wal_with_checkpoint(
-            self, tmp_path):
-        wal = tmp_path / "store.wal"
-        engine = _mk_engine(wal=wal)
-        rows = manager_stream(60, 6)
-        _commit_rows(engine, rows[:4])
-        engine.checkpoint()
-        engine.close()
-
-        fresh = tmp_path / "fresh.wal"
-        restored = StoreEngine.replay(wal, wal=fresh)
-        _commit_rows(restored, rows[4:])
-        restored.close()
-        first = WriteAheadLog.first_record(
-            WriteAheadLog.segment_paths(fresh)[0])
-        assert first["type"] == "checkpoint"
-        again = StoreEngine.replay(fresh)
-        assert again.head_version().vid == restored.head_version().vid
-        assert again.state() == restored.state()
-
     def test_verified_replay_detects_tampered_checkpoint(self, tmp_path):
         import json
 
