@@ -11,7 +11,12 @@ costs and what the replicas buy:
   sustained commits/s through the wire; compare ``bench_a9``'s in-process
   numbers for the protocol's overhead.
 * ``wire_reads`` — R client threads reading a relation at the head over
-  persistent connections; ``READS / min_s`` is wire reads/s.
+  persistent connections; ``READS / min_s`` is wire reads/s.  The head
+  never moves, so after the first read every read is served from the
+  server's encoded-rows cache.
+* ``wire_reads_after_commit`` — the uncached read: one client commits a
+  ``manager`` row and then reads ``manager``, repeatedly, so every read
+  finds a new relation version and sorts and encodes it afresh.
 * ``replica_tail`` — a fresh :class:`ReplicaEngine` consuming a
   ~100-commit segmented WAL end-to-end (cursor polls + trusted record
   application); the same follow path ``StoreEngine.replay`` uses, plus
@@ -35,6 +40,7 @@ from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads import (
     disjoint_commit_specs,
     manager_stream,
+    op_record,
     serving_state,
 )
 
@@ -43,6 +49,7 @@ WRITERS = 4
 COMMITS = 96
 READERS = 4
 READS = 400
+MISSED_READS = 50
 TAIL_COMMITS = 100
 
 _STATES: dict[int, tuple] = {}
@@ -133,6 +140,33 @@ def test_a11_wire_reads(benchmark):
         assert all(len(c.read("manager")) == expect for c in clients)
         for client in clients:
             client.close()
+
+
+def test_a11_wire_reads_after_commit(benchmark):
+    """Commit-then-read pairs over one connection, each read of a new
+    ``manager`` version (reads/s = MISSED_READS / min_s, commits
+    included), against a fresh engine+server per round."""
+    schema, db, constraints = state(ROWS)
+    rows = manager_stream(ROWS, MISSED_READS)
+    opened = []
+
+    def fresh():
+        server = StoreServer(StoreEngine(db, constraints))
+        server.start_background()
+        client = StoreClient(*server.address)
+        opened.append((server, client))
+        return (client,), {}
+
+    def commit_then_read(client):
+        for row in rows:
+            client.run([op_record("insert", "manager", row)])
+            assert row in client.read("manager")
+
+    benchmark.pedantic(commit_then_read, setup=fresh,
+                       rounds=5, iterations=1)
+    for server, client in opened:
+        client.close()
+        server.stop()
 
 
 def test_a11_replica_tail(benchmark, tmp_path):

@@ -630,27 +630,38 @@ class DatabaseExtension:
                          t: Tuple) -> list[Tuple]:
         """The tuples of ``R_s`` whose projection onto ``A_e`` is ``t``.
 
-        Routed through the interned instance's partition index when the
-        kernel exists (one key lookup); the per-tuple projection scan is
-        the fallback for never-interned states.
+        Routed through a partition index when an ancestor on this
+        state's delta chain (or the state itself) has interned: that
+        ancestor's group for ``t`` (one key lookup), plus the rows the
+        chain added to ``R_s`` since, kept if still present.  This
+        state's own kernel is never derived for it.  The walk to the
+        ancestor costs a step per state and a check per added row, so
+        it stops once that exceeds ``|R_s|``, the cost of the per-tuple
+        projection scan that serves the rest: chains that never
+        interned, that replaced ``R_s`` wholesale, or that are long
+        against a small ``R_s``.
         """
-        kern = self._kernel
-        if kern is None:
-            return [u for u in self.R(s).tuples
-                    if u.project(e.attributes) == t]
-        inst = kern.instance(s.name)
-        idxs = inst.indices_of(e.attributes)
-        key = []
-        # Tuple iterates sorted by attribute, matching the sorted column
-        # positions of ``idxs``.
-        for i, (_, value) in zip(idxs, t):
-            sid = inst.tables[i].get(value)
-            if sid is None:
-                return []
-            key.append(sid)
-        rows = inst.rows
-        return [Tuple._trusted(inst.decode_row(rows[r]))
-                for r in inst.partition(idxs).get(tuple(key), ())]
+        present = self.R(s).tuples
+        budget = len(present)
+        node, added = self, []
+        while node._kernel is None and node._delta is not None \
+                and budget > 0:
+            delta = node._delta
+            if s.name in delta.replaced:
+                break
+            grown = delta.added.get(s.name, ())
+            added.extend(grown)
+            budget -= 1 + len(grown)
+            node = delta.parent
+        if node._kernel is None:
+            return [u for u in present if u.project(e.attributes) == t]
+        hits = dict.fromkeys(
+            u for u in _indexed_group(node._kernel.instance(s.name),
+                                      e.attributes, t)
+            if u in present)
+        hits.update((u, None) for u in added
+                    if u in present and u.project(e.attributes) == t)
+        return list(hits)
 
     def remove_tuples(self, e: EntityType | str, rows: Iterable) -> "DatabaseExtension":
         """Bulk non-propagating delete of ``rows`` from ``R_e``.
@@ -755,10 +766,27 @@ def _as_tuple(e: EntityType, row, trusted: bool = False) -> Tuple:
     """``row`` as a :class:`Tuple`, refused unless its schema is ``A_e``;
     a ``trusted`` :class:`Tuple` (validated by the caller) passes as is."""
     t = row if isinstance(row, Tuple) else Tuple(dict(row))
-    if not (trusted and t is row) and t.schema != e.attributes:
+    if not (trusted and t is row) and not t.has_schema(e.attributes):
         raise ExtensionError(
             f"tuple schema {sorted(t.schema)} does not match {e.name!r}")
     return t
+
+
+def _indexed_group(inst, attrs: frozenset, t: Tuple) -> list[Tuple]:
+    """The rows of the interned instance ``inst`` whose projection onto
+    ``attrs`` is ``t``, through its cached partition index."""
+    idxs = inst.indices_of(attrs)
+    key = []
+    # Tuple iterates sorted by attribute, matching the sorted column
+    # positions of ``idxs``.
+    for i, (_, value) in zip(idxs, t):
+        sid = inst.tables[i].get(value)
+        if sid is None:
+            return []
+        key.append(sid)
+    rows = inst.rows
+    return [Tuple._trusted(inst.decode_row(rows[r]))
+            for r in inst.partition(idxs).get(tuple(key), ())]
 
 
 def _copy_ea_report(report: dict) -> dict:

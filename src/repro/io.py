@@ -80,20 +80,61 @@ def _encode_tuple(value: Any) -> dict[str, Any]:
         f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class JSONText:
+    """Text that is already JSON, which :func:`encode_frame` writes
+    verbatim.
+
+    A top-level value of a frame's message may be a ``JSONText``: the
+    frame then carries ``text`` exactly where ``json.dumps`` would have
+    written the value it encodes, so a server can encode a value once
+    and splice it into many frames.  Built with :func:`encode_json`, the
+    frame is byte-identical to one encoding the value itself."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def encode_json(value: Any) -> str:
+    """``value`` as the wire's JSON text: sorted keys, no spaces, and
+    relational tuples as JSON objects.  No circular-reference
+    bookkeeping: it costs a dict insert and delete per container and
+    per tuple, and a cyclic value still fails, as RecursionError."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      default=_encode_tuple, check_circular=False)
+
+
+def _splice(message: dict[str, Any]) -> str:
+    """``encode_json(message)`` written member by member, each
+    :class:`JSONText` value as its text."""
+    parts = []
+    for key, value in sorted(message.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        parts += (",", encode_json(key), ":", value.text
+                  if type(value) is JSONText else encode_json(value))
+    parts[0] = "{"  # one join, so a long text is copied once
+    parts.append("}")
+    return "".join(parts)
+
+
 def encode_frame(message: dict[str, Any]) -> bytes:
     """One protocol message as a length-prefixed JSON frame.  Relational
-    tuples anywhere in ``message`` encode as JSON objects."""
+    tuples anywhere in ``message`` encode as JSON objects, and a
+    top-level :class:`JSONText` value is written as its text, among
+    the keys in the same sorted order (its message's keys must then be
+    strings)."""
     if not isinstance(message, dict):
         raise ProtocolError(
             f"a frame payload must be a JSON object, got "
             f"{type(message).__name__}")
-    # No circular-reference bookkeeping: it costs a dict insert and
-    # delete per container and per tuple.  A cyclic message still fails,
-    # as RecursionError.
     try:
-        payload = json.dumps(message, sort_keys=True, separators=(",", ":"),
-                             default=_encode_tuple,
-                             check_circular=False).encode("utf-8")
+        if any(type(v) is JSONText for v in message.values()):
+            text = _splice(message)
+        else:
+            text = encode_json(message)
+        payload = text.encode("utf-8")
     except (TypeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"message is not JSON-codable: {exc}") from exc
     if len(payload) > MAX_FRAME_BYTES:

@@ -12,11 +12,14 @@ set of equal-schema tuples.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
+from operator import itemgetter
 
 from repro.errors import RelationError
 
 AttrName = str
 Value = Hashable
+
+_attr_of = itemgetter(0)
 
 
 class Tuple:
@@ -50,6 +53,17 @@ class Tuple:
     def schema(self) -> frozenset[AttrName]:
         """The attribute names this tuple is defined on."""
         return frozenset(attr for attr, _ in self._items)
+
+    def has_schema(self, attrs: frozenset[AttrName]) -> bool:
+        """Whether this tuple is defined on exactly ``attrs``.
+
+        The shape check of every constructor and buffered row: it reads
+        the names in place instead of building :attr:`schema`.  The
+        names are distinct, so equal counts plus containment is
+        equality."""
+        items = self._items
+        return len(items) == len(attrs) and attrs.issuperset(
+            map(_attr_of, items))
 
     def __getitem__(self, attr: AttrName) -> Value:
         for name, value in self._items:
@@ -172,7 +186,7 @@ class Relation:
         for t in tuples:
             if not isinstance(t, Tuple):
                 t = Tuple(t)
-            if t.schema != self._schema:
+            if not t.has_schema(self._schema):
                 raise RelationError(
                     f"tuple schema {sorted(t.schema)} does not match "
                     f"relation schema {sorted(self._schema)}"

@@ -47,10 +47,11 @@ import threading
 from typing import Any
 
 from repro.errors import EpochFenced, ProtocolError, StoreError
-from repro.io import FrameDecoder, encode_frame
+from repro.io import FrameDecoder, JSONText, encode_frame, encode_json
 from repro.kernel.batch import sweep_counts
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.relational import Relation
 from repro.server import protocol
 from repro.server.replica import ReplicaEngine
 from repro.store.engine import StoreEngine
@@ -143,6 +144,9 @@ class StoreServer:
         self._startup_error: BaseException | None = None
         self._commit_slots: asyncio.Semaphore | None = None
         self._sync_task: asyncio.Task | None = None
+        # relation name -> (the Relation last read, its rows as JSON
+        # text); see _op_read.
+        self._read_cache: dict[str, tuple[Relation, JSONText]] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None \
             else Tracer(clock=self.metrics.clock)
@@ -495,6 +499,20 @@ class StoreServer:
                                     parent=parent, branch=version.branch)
 
     async def _op_read(self, conn, rid, message) -> dict:
+        """One relation's rows at a version, encoded once per relation
+        version.
+
+        Relations are immutable values, so the sorted rows' JSON text
+        (a :class:`~repro.io.JSONText`, spliced verbatim by
+        ``encode_frame``) is kept per relation name and served again
+        while the version read holds that very ``Relation`` object
+        (``is``, not ``==``).  A commit that changes the relation,
+        another branch, an ``at=`` read or a replica resync hands over a
+        different object, which re-encodes and replaces the entry, so
+        the cache never serves a stale version and holds at most one
+        entry per relation of the schema.  Only the event-loop thread runs this, so it takes no
+        lock.
+        """
         relation = message.get("relation")
         if not isinstance(relation, str):
             raise ProtocolError("'relation' must be a string")
@@ -505,10 +523,14 @@ class StoreServer:
         store = self._store
         version = store.graph.get(at) if at is not None \
             else store.head_version(branch)
-        # The tuples themselves: encode_frame writes each one as a JSON
-        # object, so the response never holds a dict per row.
-        rows = list(version.state.R(relation))
-        return protocol.ok_response(rid, relation=relation, rows=rows,
+        rel = version.state.R(relation)
+        entry = self._read_cache.get(relation)
+        if entry is None or entry[0] is not rel:
+            # encode_json writes each tuple as a JSON object, so the
+            # encode never holds a dict per row.
+            entry = (rel, JSONText(encode_json(list(rel))))
+            self._read_cache[relation] = entry
+        return protocol.ok_response(rid, relation=relation, rows=entry[1],
                                     version=version.vid)
 
     async def _op_branch(self, conn, rid, message) -> dict:

@@ -99,7 +99,7 @@ class Transaction:
     def _validated(self, relation: str, row) -> Tuple:
         e = self.schema[relation]
         t = row if isinstance(row, Tuple) else Tuple(dict(row))
-        if t.schema != e.attributes:
+        if not t.has_schema(e.attributes):
             raise ExtensionError(
                 f"tuple schema {sorted(t.schema)} does not match {relation!r}")
         for a in e.attributes:

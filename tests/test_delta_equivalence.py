@@ -575,6 +575,72 @@ class TestOneSuccessorBuilder:
                     compared += 1
         assert compared >= 100
 
+    def test_cascading_delete_on_derived_states_matches_the_scan(
+            self, monkeypatch):
+        """A state derived from an interned root by a random update
+        chain (patches and wholesale replaces) finds the same cascade
+        victims through the root's partition index as a never-interned
+        copy finds by scanning."""
+        from repro.core import extension
+        from repro.core.extension import DatabaseExtension
+        from repro.workloads.extensions import random_tuple
+
+        lookups = []
+        group = extension._indexed_group
+        monkeypatch.setattr(
+            extension, "_indexed_group",
+            lambda *args: lookups.append(args) or group(*args))
+        compared = 0
+        for seed in range(N_CHAIN_SEEDS):
+            rng = random.Random(500 + seed)
+            (schema, root), *_ = random_database_states(rng)
+            root.kernel
+            derived = random_update_sequence(rng, root, n_ops=6)[-1]
+            scanned = DatabaseExtension(
+                schema, {e.name: derived.R(e) for e in schema})
+            for e in sorted(schema, key=lambda t: t.name):
+                rows = sorted(derived.R(e).tuples, key=repr)[:2]
+                rows.append(random_tuple(rng, schema, e.attributes))
+                for row in rows:
+                    a = derived.delete(e.name, row)
+                    b = scanned.delete(e.name, row)
+                    assert a == b, f"seed={seed} {e.name} {row}"
+                    if a is not derived:
+                        assert {n: set(ts) for n, ts
+                                in a._delta.removed.items()} == \
+                            {n: set(ts) for n, ts
+                             in b._delta.removed.items()}
+                        compared += 1
+        assert compared >= 100 and len(lookups) >= N_CHAIN_SEEDS
+
+    def test_delete_after_interned_root_takes_the_index_route(
+            self, monkeypatch):
+        """A propagating delete on a state a few inserts past an
+        interned root projects only the rows those inserts added, not
+        every tuple of the specialisation, and derives no kernel."""
+        from repro.relational import Tuple
+        from repro.workloads.sessions import manager_stream, serving_state
+
+        schema, root, _ = serving_state(30)
+        root.kernel
+        new_rows = manager_stream(30, 3)
+        state = root
+        for row in new_rows:
+            state = state.insert("manager", row)
+        victim = {k: new_rows[0][k]
+                  for k in schema["worksfor"].attributes}
+        projected = []
+        project = Tuple.project
+        monkeypatch.setattr(
+            Tuple, "project",
+            lambda t, attrs: projected.append(t) or project(t, attrs))
+        after = state.delete("worksfor", victim)
+        monkeypatch.undo()
+        assert state._kernel is None
+        assert len(projected) <= len(new_rows) < len(state.R("manager"))
+        assert after.R("manager").tuples == state.R("manager").tuples - {
+            Tuple(new_rows[0])}
+
     def test_remove_tuples_and_replace_record_their_delta(self, db):
         ann = {"name": "ann", "age": 31, "depname": "sales", "budget": 250}
         ghost = {"name": "dee", "age": 53, "depname": "sales", "budget": 100}

@@ -391,6 +391,37 @@ class TestServedBeforeFirstSync:
         assert row in rows and version == engine.head_version().vid
 
 
+class TestServedReadsFollowTheTail:
+    def test_replica_server_reads_fresh_rows_after_sync(self, tmp_path):
+        """A replica server's cached read of a relation gives way to the
+        new version once the replica syncs past a primary commit, and
+        again after a resync rebuilds the graph."""
+        from repro.server import StoreClient, StoreServer
+
+        schema, db, constraints = serving_state(6)
+        wal = tmp_path / "w.log"
+        engine = StoreEngine(db, constraints, wal=wal)
+        replica = ReplicaEngine(wal)
+        first, second = manager_stream(6, 2)
+        with StoreServer(replica, sync_interval=0) as server:
+            with StoreClient(*server.address) as client:
+                before = client.read("manager")
+                Session(engine).run([op_record("insert", "manager",
+                                               first)])
+                replica.catch_up()
+                synced_head = replica.head_version().vid
+                synced, vid = client.read_at("manager")
+                Session(engine).run([op_record("insert", "manager",
+                                               second)])
+                replica.resync()
+                resynced = client.read("manager")
+        engine.close()
+        assert first not in before
+        assert first in synced and vid == synced_head
+        assert len(synced) == len(before) + 1
+        assert second in resynced and len(resynced) == len(synced) + 1
+
+
 class TestCatchUp:
     """catch_up's one contract: sync until nothing is left behind or the
     timeout lapses, then return the records applied — a caller that

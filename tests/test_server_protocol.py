@@ -29,7 +29,15 @@ from repro.errors import (
     ProtocolError,
     StoreError,
 )
-from repro.io import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame, FrameDecoder
+from repro.io import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
+    FrameDecoder,
+    JSONText,
+    encode_frame,
+    encode_json,
+)
+from repro.relational import Relation
 from repro.server import ReplicaEngine, StoreClient, StoreServer
 from repro.server.protocol import (
     error_payload,
@@ -68,6 +76,22 @@ class TestFrameRoundTrip:
             i += step
         assert decoded == messages
         assert decoder.pending_bytes == 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_json_text_value_is_spliced_verbatim(self, seed):
+        """Replacing any top-level value by its ``JSONText`` leaves the
+        frame's bytes unchanged."""
+        rng = random.Random(3000 + seed)
+        message = random_frame_message(rng) or {"id": seed}
+        key = rng.choice(sorted(message))
+        spliced = dict(message, **{key: JSONText(encode_json(message[key]))})
+        assert encode_frame(spliced) == encode_frame(message)
+
+    def test_json_text_only_splices_at_the_top_level(self):
+        with pytest.raises(ProtocolError, match="not JSON-codable"):
+            encode_frame({"id": 1, "rows": [JSONText("[]")]})
+        with pytest.raises(ProtocolError, match="not JSON-codable"):
+            encode_frame({1: JSONText("[]")})
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_single_value_payload_fidelity(self, seed):
@@ -348,6 +372,103 @@ class TestServerOps:
         assert second["error"]["code"] == "bad-frame"
         assert second["error"]["fatal"] is False
         assert third["id"] == 2 and third["ok"]
+
+
+def _recv_exactly(sock: socket.socket, n: int) -> bytes:
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        assert chunk, "server closed the connection"
+        data += chunk
+    return data
+
+
+def _read_frame_bytes(sock: socket.socket, rid, **fields) -> bytes:
+    """Send one ``read`` request and return the response frame's exact
+    bytes, header included."""
+    sock.sendall(encode_frame({"id": rid, "op": "read", **fields}))
+    header = _recv_exactly(sock, FRAME_HEADER.size)
+    (length,) = FRAME_HEADER.unpack(header)
+    return header + _recv_exactly(sock, length)
+
+
+class TestReadCache:
+    """The server encodes each relation version's rows once and splices
+    the text into every later read of the same ``Relation`` object."""
+
+    @pytest.fixture()
+    def engine(self):
+        schema, db, constraints = serving_state(12)
+        return StoreEngine(db, constraints)
+
+    @pytest.fixture()
+    def served(self, engine):
+        with StoreServer(engine) as srv:
+            yield srv
+
+    @pytest.mark.parametrize("rid", [7, "req-7", 2.5, None, True])
+    def test_cached_frame_is_byte_identical(self, engine, served, rid):
+        """A miss and a hit each equal the frame ``encode_frame`` makes
+        of the plain response, whatever scalar the id is."""
+        head = engine.head_version()
+        expected = encode_frame(ok_response(
+            rid, relation="manager", rows=list(head.state.R("manager")),
+            version=head.vid))
+        with socket.create_connection(served.address, timeout=10) as sock:
+            miss = _read_frame_bytes(sock, rid, relation="manager")
+            hit = _read_frame_bytes(sock, rid, relation="manager")
+        assert miss == expected
+        assert hit == expected
+
+    def test_read_after_commit_sees_the_commit(self, served):
+        row = manager_stream(12, 1)[0]
+        with StoreClient(*served.address) as c:
+            before = c.read("manager")
+            assert row not in before
+            out = c.run([{"op": "insert", "relation": "manager",
+                          "row": row}])
+            rows, vid = c.read_at("manager")
+        assert vid == out["version"]
+        assert row in rows and len(rows) == len(before) + 1
+
+    def test_branches_and_old_versions_read_their_own_rows(self, engine,
+                                                           served):
+        """Alternating reads of one relation on two branches, and an
+        ``at=`` read of an older version, each return that version's
+        rows."""
+        old = engine.head_version().vid
+        row = manager_stream(12, 1)[0]
+        with StoreClient(*served.address) as c:
+            c.create_branch("dev")
+            c.hello("dev")
+            c.run([{"op": "insert", "relation": "manager", "row": row}])
+            main_rows = c.read("manager", branch="main")
+            dev_rows = c.read("manager", branch="dev")
+            for _ in range(2):
+                assert c.read("manager", branch="main") == main_rows
+                assert c.read("manager", branch="dev") == dev_rows
+            assert c.read("manager", at=old) == main_rows
+        assert row in dev_rows and row not in main_rows
+        assert len(dev_rows) == len(main_rows) + 1
+
+    def test_unchanged_head_is_not_re_sorted(self, served, monkeypatch):
+        """A second read of an unchanged head is served from the cache:
+        it does not iterate (sort) the relation again."""
+        calls = []
+        iterate = Relation.__iter__
+
+        def counting(rel):
+            calls.append(rel)
+            return iterate(rel)
+
+        monkeypatch.setattr(Relation, "__iter__", counting)
+        with StoreClient(*served.address) as c:
+            first = c.read("manager")
+            after_first = len(calls)
+            second = c.read("manager")
+        assert after_first >= 1
+        assert len(calls) == after_first
+        assert second == first
 
 
 class TestReplicaServer:
