@@ -63,8 +63,7 @@ class GlobalLockEngine(StoreEngine):
 
     def _validate(self, head_state, changes, index):
         derived = head_state.apply_changes(
-            changes.added, changes.removed, changes.replaced,
-            validate=True)
+            changes.added, changes.removed, validate=True)
         candidate = DatabaseExtension(
             self.schema, {e.name: derived.R(e) for e in self.schema},
             head_state.contributors)

@@ -327,8 +327,7 @@ def _chain_delta_rows(db: DatabaseExtension, anc: DatabaseExtension,
                       name: str) -> tuple[list, list] | None:
     """Accumulated (added, removed) id rows of relation ``name`` between
     ``anc`` and ``db``, or ``None`` when the span is not patch-derived
-    for it (a wholesale replace, a never-derived kernel, or ``anc`` not
-    on the derivation path).
+    (a never-derived kernel, or ``anc`` not on the derivation path).
 
     Kernel derivation flattens whole update spans into one patch, so
     the walk hops from each derived state to its recorded derivation
@@ -346,8 +345,6 @@ def _chain_delta_rows(db: DatabaseExtension, anc: DatabaseExtension,
         if idelta is not None:
             added += idelta.added
             removed += idelta.removed
-        elif name in kdelta.instances:
-            return None  # replaced wholesale on this span
         node = base
     return added, removed
 

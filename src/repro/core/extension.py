@@ -42,23 +42,19 @@ class StateDelta:
 
     ``added``/``removed`` map relation names to the tuples an update
     genuinely added or removed (no-op rows are filtered at construction
-    of the successor); ``replaced`` names relations swapped wholesale.
-    ``changed`` is the union of the touched names — the dirty set the
-    audit caches and the kernel derivation consult.
+    of the successor).  ``changed`` is the union of the touched names —
+    the dirty set the audit caches and the kernel derivation consult.
     """
 
-    __slots__ = ("parent", "added", "removed", "replaced", "changed")
+    __slots__ = ("parent", "added", "removed", "changed")
 
     def __init__(self, parent: "DatabaseExtension",
                  added: Mapping[str, list] | None = None,
-                 removed: Mapping[str, list] | None = None,
-                 replaced: Iterable[str] = ()):
+                 removed: Mapping[str, list] | None = None):
         self.parent = parent
         self.added = {name: tuple(ts) for name, ts in (added or {}).items()}
         self.removed = {name: tuple(ts) for name, ts in (removed or {}).items()}
-        self.replaced = frozenset(replaced)
-        self.changed = (frozenset(self.added) | frozenset(self.removed)
-                        | self.replaced)
+        self.changed = frozenset(self.added) | frozenset(self.removed)
 
     def __repr__(self) -> str:
         return f"StateDelta(changed={sorted(self.changed)})"
@@ -129,8 +125,8 @@ class DatabaseExtension:
     def _derived(cls, parent: "DatabaseExtension",
                  relations: dict[EntityType, Relation],
                  added: Mapping[str, list] | None = None,
-                 removed: Mapping[str, list] | None = None,
-                 replaced: Iterable[str] = ()) -> "DatabaseExtension":
+                 removed: Mapping[str, list] | None = None
+                 ) -> "DatabaseExtension":
         """A successor state sharing everything the update left alone.
 
         Schema, structures, contributor assignment, and every untouched
@@ -153,7 +149,7 @@ class DatabaseExtension:
             db._init_delta_state(None, 0)
         else:
             db._init_delta_state(
-                StateDelta(parent, added, removed, replaced),
+                StateDelta(parent, added, removed),
                 parent._depth + 1,
             )
         return db
@@ -169,18 +165,9 @@ class DatabaseExtension:
                 f"expected {sorted(e.attributes)}"
             )
         if validate:
-            self._validate_domains(e, rel.tuples)
+            for t in rel.tuples:
+                check_domains(self.schema.universe, e.name, t)
         return rel
-
-    def _validate_domains(self, e: EntityType, tuples: Iterable[Tuple]) -> None:
-        for t in tuples:
-            for a in e.attributes:
-                domain = self.schema.universe.domain(a)
-                if t[a] not in domain:
-                    raise ExtensionError(
-                        f"value {t[a]!r} for attribute {a!r} of {e.name!r} is "
-                        f"outside its atomic value set {domain.name!r}"
-                    )
 
     # ------------------------------------------------------------------
     # accessors
@@ -232,54 +219,42 @@ class DatabaseExtension:
         if node._kernel is None or not chain:
             self._kernel = self.kernel_naive()
             return self._kernel
-        patches, replacements = self._flatten_chain(chain)
         self._kernel, self._kernel_delta = derive_extension_kernel(
-            node._kernel, patches, replacements)
+            node._kernel, self._flatten_chain(chain))
         self._kernel_base = node
         return self._kernel
 
-    def _flatten_chain(self, chain: list["DatabaseExtension"]
-                       ) -> tuple[dict, dict]:
+    def _flatten_chain(self, chain: list["DatabaseExtension"]) -> dict:
         """One net ``(added, removed)`` item-row delta per relation for
-        the whole chain (oldest step first), plus the relations to
-        re-intern wholesale.
+        the whole chain (oldest step first).
 
-        A replace wipes the patches before it (and any patch after it
-        is already reflected in this state's relation, which is what
-        gets re-interned); add/remove pairs of the same row cancel.
-        The object-level updates filter no-ops, so every recorded
-        removal was present and every addition absent at its step —
-        which makes the cancellation exact.
+        Add/remove pairs of the same row cancel.  The object-level
+        updates filter no-ops, so every recorded removal was present and
+        every addition absent at its step — which makes the cancellation
+        exact.
         """
-        acc: dict[str, list] = {}  # name -> [replaced, added set, removed set]
+        acc: dict[str, tuple[set, set]] = {}  # name -> (added, removed)
         for state in reversed(chain):
             delta = state._delta
-            for name in delta.replaced:
-                acc[name] = [True, set(), set()]
             for name, ts in delta.added.items():
-                entry = acc.setdefault(name, [False, set(), set()])
+                added, removed = acc.setdefault(name, (set(), set()))
                 for t in ts:
                     items = tuple(t)
-                    if items in entry[2]:
-                        entry[2].discard(items)
+                    if items in removed:
+                        removed.discard(items)
                     else:
-                        entry[1].add(items)
+                        added.add(items)
             for name, ts in delta.removed.items():
-                entry = acc.setdefault(name, [False, set(), set()])
+                added, removed = acc.setdefault(name, (set(), set()))
                 for t in ts:
                     items = tuple(t)
-                    if items in entry[1]:
-                        entry[1].discard(items)
+                    if items in added:
+                        added.discard(items)
                     else:
-                        entry[2].add(items)
-        patches: dict[str, tuple] = {}
-        replacements: dict[str, Relation] = {}
-        for name, (replaced, added, removed) in acc.items():
-            if replaced:
-                replacements[name] = self._relations[self.schema[name]]
-            elif added or removed:
-                patches[name] = (tuple(added), tuple(removed))
-        return patches, replacements
+                        removed.add(items)
+        return {name: (tuple(added), tuple(removed))
+                for name, (added, removed) in acc.items()
+                if added or removed}
 
     def kernel_naive(self) -> ExtensionKernel:
         """A from-scratch interning of this state — the full-rebuild
@@ -596,7 +571,7 @@ class DatabaseExtension:
         """
         e = self._resolve(e)
         t = _as_tuple(e, row)
-        self._validate_domains(e, [t])
+        check_domains(self.schema.universe, e.name, t)
         added = {e.name: (t,)}
         if propagate:
             for g in self.gen.proper_generalisations(e):
@@ -638,8 +613,7 @@ class DatabaseExtension:
         ancestor costs a step per state and a check per added row, so
         it stops once that exceeds ``|R_s|``, the cost of the per-tuple
         projection scan that serves the rest: chains that never
-        interned, that replaced ``R_s`` wholesale, or that are long
-        against a small ``R_s``.
+        interned, or that are long against a small ``R_s``.
         """
         present = self.R(s).tuples
         budget = len(present)
@@ -647,8 +621,6 @@ class DatabaseExtension:
         while node._kernel is None and node._delta is not None \
                 and budget > 0:
             delta = node._delta
-            if s.name in delta.replaced:
-                break
             grown = delta.added.get(s.name, ())
             added.extend(grown)
             budget -= 1 + len(grown)
@@ -667,62 +639,52 @@ class DatabaseExtension:
         """Bulk non-propagating delete of ``rows`` from ``R_e``.
 
         The repair loops (:func:`repro.workloads.enforce_extension_axiom`)
-        drop batches of victims from one relation at a time; expressing
-        the drop as a patch delta (rather than a wholesale ``replace``)
-        lets the successor's kernel and audit caches derive from this
-        state's.  Rows not present are ignored; removing nothing returns
-        ``self``.
+        drop batches of victims from one relation at a time.  Rows not
+        present are ignored; removing nothing returns ``self``.
         """
         return self.apply_changes(removed={self._resolve(e).name: rows})
 
     def replace(self, e: EntityType | str, relation: Relation | Iterable) -> "DatabaseExtension":
         """A copy with ``R_e`` wholesale replaced (no propagation).
 
-        The successor is delta-derived with ``e`` marked as replaced:
-        its kernel re-interns only this relation (against the shared
-        symbol tables) and audits re-judge only the contexts that read
-        it.
+        ``relation`` is shape-checked as ``R_e``, then lands as the row
+        patch ``(relation - R_e, R_e - relation)`` through
+        :meth:`apply_changes`, which domain-checks only the rows it
+        brings; a replace that changes no row returns ``self``.
         """
-        return self.apply_changes(replaced={self._resolve(e).name: relation})
+        e = self._resolve(e)
+        old = self._relations[e].tuples
+        new = self._checked(e, relation, validate=False).tuples
+        return self.apply_changes({e.name: new - old}, {e.name: old - new})
 
     def apply_changes(self,
                       added: Mapping[str, Iterable] | None = None,
                       removed: Mapping[str, Iterable] | None = None,
-                      replaced: Mapping[str, object] | None = None,
                       validate: bool = True) -> "DatabaseExtension":
         """Apply one batched delta in a single derivation step.
 
         The one successor builder: every update method above and the
         transactional store's commit land here, so a whole delta —
-        tuples added, tuples removed, relations replaced wholesale —
-        becomes *one* :class:`StateDelta`, and the successor pays one
-        relation copy per touched relation and one kernel patch per
-        step.  No semantic propagation happens here; the caller (an
-        update method or a :class:`Transaction`) has already expanded
-        its operations into their net row effect.
+        tuples added, tuples removed — becomes *one* :class:`StateDelta`,
+        and the successor pays one relation copy per touched relation
+        and one kernel patch per step.  No semantic propagation happens
+        here; the caller (an update method or a :class:`Transaction`)
+        has already expanded its operations into their net row effect.
 
         ``added``/``removed`` map relation names to row iterables;
         rows already present (for ``added``) or absent (for ``removed``)
         are filtered out, so the recorded delta is the genuine set
-        difference.  A name may be patched or replaced, not both.  With
-        ``validate=False`` the shape and domain checks on :class:`Tuple`
-        rows are skipped — only for rows the caller has itself validated
-        (an update method's projections and cascade victims, a
-        transaction's buffered rows, a store replaying its own
-        write-ahead log).  Returns ``self`` when nothing changes.
+        difference.  With ``validate=False`` the shape and domain checks
+        on :class:`Tuple` rows are skipped — only for rows the caller has
+        itself validated (an update method's projections and cascade
+        victims, a transaction's buffered rows, a store replaying its
+        own write-ahead log).  Returns ``self`` when nothing changes.
         """
         added, removed = added or {}, removed or {}
-        replaced = dict(replaced or {})
         trusted = not validate
         new = dict(self._relations)
         net_added: dict[str, list[Tuple]] = {}
         net_removed: dict[str, list[Tuple]] = {}
-        for name in replaced:
-            if name in added or name in removed:
-                raise ExtensionError(
-                    f"{name!r} is both patched and replaced in one delta")
-            e = self._resolve(name)
-            new[e] = self._checked(e, replaced[name], validate)
         for name, rows in removed.items():
             e = self._resolve(name)
             present = new[e].tuples
@@ -742,15 +704,15 @@ class DatabaseExtension:
                     fresh[t] = None
             if fresh:
                 if validate:
-                    self._validate_domains(e, fresh)
+                    for t in fresh:
+                        check_domains(self.schema.universe, e.name, t)
                 # _trusted: the fresh tuples were validated above (or by
                 # the caller) and the existing ones by their own state.
                 new[e] = Relation._trusted(e.attributes, present.union(fresh))
                 net_added[e.name] = list(fresh)
-        if not net_added and not net_removed and not replaced:
+        if not net_added and not net_removed:
             return self
-        return DatabaseExtension._derived(self, new, net_added, net_removed,
-                                          tuple(replaced))
+        return DatabaseExtension._derived(self, new, net_added, net_removed)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DatabaseExtension):
@@ -760,6 +722,18 @@ class DatabaseExtension:
     def __repr__(self) -> str:
         return (f"DatabaseExtension({len(self.schema)} types, "
                 f"{self.total_instances()} instances)")
+
+
+def check_domains(universe, relation: str, t: Tuple) -> None:
+    """Raise :class:`ExtensionError` unless every value of ``t`` lies in
+    its attribute's atomic value set — one pass over the tuple's items
+    (the caller has already checked ``t``'s shape against ``A_e``)."""
+    for a, value in t:
+        domain = universe.domain(a)
+        if value not in domain.values:
+            raise ExtensionError(
+                f"value {value!r} for attribute {a!r} of {relation!r} is "
+                f"outside its atomic value set {domain.name!r}")
 
 
 def _as_tuple(e: EntityType, row, trusted: bool = False) -> Tuple:

@@ -20,9 +20,11 @@ Sharing contract (why this is sound):
   index come along for free.
 * A touched relation gets a *patched* instance: the new row list is the
   old one minus the removed id rows plus the added ones, and every
-  cached partition/projection index is patched in the size of the delta
-  (plus one remap pass when rows were removed) instead of being rebuilt
-  from the object level.
+  cached partition/projection index is patched at the id level instead
+  of being rebuilt from the object level.  An insert-only patch shares
+  the parent's untouched partition groups and copies only the groups it
+  appends to; a patch that removes rows renumbers the surviving rows,
+  so it remaps every group in one pass over the row list.
 
 The functions here return the raw id-row changes
 (:class:`InstanceDelta`) alongside each derived object, because the
@@ -66,16 +68,12 @@ class InstanceDelta:
 
 
 class KernelDelta:
-    """Per-relation :class:`InstanceDelta` of one kernel derivation step.
-
-    ``instances[name]`` is ``None`` for a wholesale-replaced relation
-    (its rows were re-interned, no row-level delta exists); relation
-    names absent from the mapping were untouched.
-    """
+    """Per-relation :class:`InstanceDelta` of one kernel derivation step;
+    relation names absent from ``instances`` were untouched."""
 
     __slots__ = ("instances",)
 
-    def __init__(self, instances: Mapping[str, InstanceDelta | None]):
+    def __init__(self, instances: Mapping[str, InstanceDelta]):
         self.instances = dict(instances)
 
     def __repr__(self) -> str:
@@ -104,9 +102,10 @@ def derive_instance(parent: InstanceKernel,
     value)`` item tuples over the parent's schema.  The derived instance
     shares the parent's attribute layout and symbol tables by reference
     (append-only, so the parent stays valid) and carries patched copies
-    of every partition/projection index the parent had cached — each
-    patched in ``O(|delta|)`` per index, plus one remap pass over the
-    row list when rows were removed.
+    of every partition/projection index the parent had cached.  Without
+    removals a partition shares every group the added rows leave alone
+    (no derivation appends to a list it did not build); with removals
+    every group is remapped to the new row numbers.
 
     Returns the instance together with the :class:`InstanceDelta` of id
     rows that actually changed.  A no-op delta returns the parent
@@ -150,7 +149,7 @@ def derive_instance(parent: InstanceKernel,
 
     for idxs, part in parent._partitions.items():
         if remap is None:
-            new_part = {key: list(group) for key, group in part.items()}
+            new_part = dict(part)
         else:
             new_part = {}
             for key, group in part.items():
@@ -158,9 +157,11 @@ def derive_instance(parent: InstanceKernel,
                 if kept:
                     new_part[key] = kept
         for i, row in enumerate(added):
-            new_part.setdefault(
-                tuple(row[j] for j in idxs), []
-            ).append(base + i)
+            key = tuple(row[j] for j in idxs)
+            group = new_part.get(key)
+            if group is None or group is part.get(key):  # copy on write
+                group = new_part[key] = list(group or ())
+            group.append(base + i)
         inst._partitions[idxs] = new_part
     for idxs, proj in parent._projections.items():
         part = inst._partitions.get(idxs)
@@ -185,29 +186,23 @@ def derive_instance(parent: InstanceKernel,
 
 def derive_extension_kernel(parent: ExtensionKernel,
                             patches: Mapping[str, tuple] = {},
-                            replacements: Mapping[str, object] = {},
                             ) -> tuple[ExtensionKernel, KernelDelta]:
     """The successor state's kernel, derived from ``parent``.
 
     ``patches`` maps relation names to ``(added_items, removed_items)``
-    row-delta pairs (sorted item tuples); ``replacements`` maps names to
-    whole relation-shaped objects that are re-interned from scratch —
-    against the *shared* tables, so cross-relation id comparability is
-    preserved.  Untouched relations share their instances by reference.
+    row-delta pairs (sorted item tuples).  Untouched relations share
+    their instances by reference.
 
     Returns the kernel plus the :class:`KernelDelta` describing what
-    changed at the id level (``None`` entries for replacements).
+    changed at the id level.
     """
     kern = object.__new__(ExtensionKernel)
     kern.shared = parent.shared
     instances = dict(parent.instances)
-    deltas: dict[str, InstanceDelta | None] = {}
+    deltas: dict[str, InstanceDelta] = {}
     for name, (added, removed) in patches.items():
         inst, delta = derive_instance(instances[name], added, removed)
         instances[name] = inst
         deltas[name] = delta
-    for name, rel in replacements.items():
-        instances[name] = InstanceKernel(rel, shared=parent.shared)
-        deltas[name] = None
     kern.instances = instances
     return kern, KernelDelta(deltas)

@@ -9,17 +9,19 @@ construction (``check_all`` plus every integrity constraint), and a
 commit only installs a successor its validation admitted — so every
 version ever served satisfies the design axioms.
 
-One commit gate, its path chosen from its inputs (timed in
-``bench_a9_store_throughput``):
+One commit gate, its path chosen from the engine's constraint set
+(timed in ``bench_a9_store_throughput``):
 
 * targeted O(|delta|) probes (:func:`~repro.store.txn.validate_changes`)
   against the head plus a mutable head probe index, whenever the
   :class:`~repro.store.txn.ValidationPlan` can probe every constraint
-  (``plan.incremental_ok``); the critical section is O(|delta|);
+  (``plan.incremental_ok``); the critical section is O(|delta|).  Every
+  delta is a row patch — a buffered ``replace`` nets into the rows it
+  adds and removes — so every commit of such an engine takes this path;
 * the full dirty-context ``check_all`` audit of the derived candidate
-  (chained caches + ``CheckSet.recheck``) as the fallback: for commits
-  that buffer a wholesale ``replace`` and for every commit of an engine
-  whose constraint set holds kinds the plan cannot probe.
+  (chained caches + ``CheckSet.recheck``) for every commit of an engine
+  whose constraint set holds kinds the plan cannot probe (its heads
+  keep no probe index).
 
 :attr:`StoreEngine.validation` reports the gate: ``"delta"``, or
 ``"audit"`` when the plan cannot probe incrementally.
@@ -80,13 +82,10 @@ _ZERO_CLOCK = lambda: 0.0  # noqa: E731
 COMMIT_PHASES = ("rebase", "validate", "derive", "wal_append", "total")
 
 
-def _render_groups(writes: frozenset | None, limit: int = 8):
+def _render_groups(writes: frozenset, limit: int = 8):
     """The touched lhs-groups of a commit (:func:`write_footprint`),
     JSON-codable: ``[relation, sorted-attrs, repr(projected-row)]`` per
-    group, capped at ``limit``; ``None`` for an unbounded footprint
-    (wholesale replace)."""
-    if writes is None:
-        return None
+    group, capped at ``limit``."""
     out = []
     for key in sorted(writes, key=repr)[:limit]:
         try:
@@ -132,9 +131,9 @@ class ProbeIndex:
             return None
         return groups.get(key, ())
 
-    def apply(self, changes, state_after: DatabaseExtension) -> None:
+    def apply(self, changes) -> None:
         """Advance the index past one committed delta (O(|delta|) per
-        probe; a replaced relation rebuilds its probes wholesale)."""
+        probe)."""
         for name, rows in changes.removed.items():
             for attrs, groups in self._by_name.get(name, ()):
                 for t in rows:
@@ -148,11 +147,6 @@ class ProbeIndex:
         for name, rows in changes.added.items():
             for attrs, groups in self._by_name.get(name, ()):
                 for t in rows:
-                    groups.setdefault(t.project(attrs), []).append(t)
-        for name in changes.replaced:
-            for attrs, groups in self._by_name.get(name, ()):
-                groups.clear()
-                for t in state_after.R(name).tuples:
                     groups.setdefault(t.project(attrs), []).append(t)
 
 
@@ -473,9 +467,8 @@ class StoreEngine:
                 return {"name": name, "start": start, "end": end,
                         "duration": end - start, "tags": tags,
                         "spans": []}
-            rows = None if changes.replaced else (
-                sum(map(len, changes.added.values()))
-                + sum(map(len, changes.removed.values())))
+            rows = (sum(map(len, changes.added.values()))
+                    + sum(map(len, changes.removed.values())))
             tracer.record({
                 "name": "store.commit",
                 "start": t0, "end": t5, "duration": total,
@@ -498,7 +491,7 @@ class StoreEngine:
                 "phases": {"rebase": rebase, "validate": validate,
                            "derive": derive, "wal_append": wal_append,
                            "fsync": fsync},
-                "group_count": None if writes is None else len(writes),
+                "group_count": len(writes),
                 "groups": _render_groups(writes),
             })
 
@@ -513,8 +506,7 @@ class StoreEngine:
         ``clock``."""
         if candidate is None:
             candidate = head.state.apply_changes(
-                changes.added, changes.removed, changes.replaced,
-                validate=False)
+                changes.added, changes.removed, validate=False)
         t3 = clock()
         if self.wal is not None:
             self.wal.append(commit_record(
@@ -523,7 +515,7 @@ class StoreEngine:
         version = self.graph.add_commit(head, candidate, tuple(txn.ops),
                                         txn.branch)
         if index is not None:
-            index.apply(changes, candidate)
+            index.apply(changes)
         txn.committed = True
         if self.wal is not None and self.checkpoint_every is not None:
             self._commits_since_checkpoint += 1
@@ -533,13 +525,12 @@ class StoreEngine:
 
     def _validate(self, head_state: DatabaseExtension, changes, index):
         """(candidate, findings) for one delta: the full audit of the
-        derived candidate when the head has no probe index or the delta
-        replaces a relation wholesale, the targeted probes otherwise
-        (candidate ``None``: judged without deriving the successor)."""
-        if index is None or changes.replaced:
+        derived candidate when the head has no probe index, the targeted
+        probes otherwise (candidate ``None``: judged without deriving
+        the successor)."""
+        if index is None:
             candidate = head_state.apply_changes(
-                changes.added, changes.removed, changes.replaced,
-                validate=False)
+                changes.added, changes.removed, validate=False)
             return candidate, findings_from_report(self._audit(candidate))
         return None, validate_changes(self.plan, head_state, changes, index)
 
@@ -804,6 +795,12 @@ class StoreEngine:
                                        record["ops"])
         if verify:
             version = self.commit(txn)
+            if version is head:
+                # Ops that net to nothing (a replace that kept every
+                # row) were logged as their own commit by stores that
+                # kept replaces whole; install it as trusted replay
+                # does, so the version ids line up.
+                version = self._install_unverified(txn)
         else:
             version = self._install_unverified(txn)
         if version.vid != record["version"]:

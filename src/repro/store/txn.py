@@ -6,7 +6,9 @@ the engine commits it; at commit time, under the engine lock, the
 buffered operations are expanded against the *current branch head*
 into their net row effect (:class:`Changes`), which lands as one
 :meth:`~repro.core.extension.DatabaseExtension.apply_changes`
-derivation step.
+derivation step.  Every operation nets into rows added and rows
+removed; a ``replace`` becomes the patch from the head's rows to the
+given ones.
 
 Commit validation is the store's half of the paper's axiom programme:
 every committed state must satisfy the Containment Condition, the
@@ -26,16 +28,15 @@ need only judge the checks its delta can disturb:
 * :func:`write_footprint` projects the delta's rows through the same
   probe family, yielding the ``(relation, attrs, projected-row)`` group
   keys the commit touched — what the engine's slow-commit log reports.
-
-A wholesale ``replace`` has no bounded footprint (``None``); the engine
-validates such commits with a full dirty-context audit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import partial
 
 from repro.core.axioms import AxiomReport
+from repro.core.extension import check_domains
 from repro.core.integrity import (
     CardinalityConstraint,
     FunctionalConstraint,
@@ -43,7 +44,7 @@ from repro.core.integrity import (
     SubsetConstraint,
 )
 from repro.errors import ExtensionError, StoreError
-from repro.relational import Relation, Tuple
+from repro.relational import Tuple
 
 _EMPTY: frozenset = frozenset()
 
@@ -102,11 +103,7 @@ class Transaction:
         if not t.has_schema(e.attributes):
             raise ExtensionError(
                 f"tuple schema {sorted(t.schema)} does not match {relation!r}")
-        for a in e.attributes:
-            if t[a] not in self.schema.universe.domain(a):
-                raise ExtensionError(
-                    f"value {t[a]!r} for attribute {a!r} of {relation!r} is "
-                    f"outside its atomic value set")
+        check_domains(self.schema.universe, relation, t)
         return t
 
     def insert(self, relation: str, row, propagate: bool = True) -> "Transaction":
@@ -187,16 +184,15 @@ class Transaction:
         inserts dedup, and cascades see earlier operations of the same
         transaction.  Delete cascades find their victims through the
         engine's head probe index when available (one group lookup),
-        falling back to an object-level scan.
+        falling back to an object-level scan.  A ``replace`` removes the
+        head rows it lacks and adds the rows the head lacks, discarding
+        the transaction's earlier operations on that relation.
         """
         schema = state.schema
         added: dict[str, dict] = {}
         removed: dict[str, dict] = {}
-        replaced: dict[str, dict] = {}
 
         def present(name: str, t: Tuple) -> bool:
-            if name in replaced:
-                return t in replaced[name]
             if t in removed.get(name, _EMPTY):
                 return False
             return t in added.get(name, _EMPTY) or t in state.R(name).tuples
@@ -206,8 +202,6 @@ class Transaction:
                 return
             if t in removed.get(name, _EMPTY):
                 del removed[name][t]
-            elif name in replaced:
-                replaced[name][t] = None
             else:
                 added.setdefault(name, {})[t] = None
 
@@ -216,25 +210,8 @@ class Transaction:
                 return
             if t in added.get(name, _EMPTY):
                 del added[name][t]
-            elif name in replaced:
-                del replaced[name][t]
             else:
                 removed.setdefault(name, {})[t] = None
-
-        def victims(s, e, t: Tuple) -> list[Tuple]:
-            # Effective rows of R_s whose projection onto A_e is t.
-            if s.name in replaced:
-                return [v for v in replaced[s.name]
-                        if v.project(e.attributes) == t]
-            group = index.group(s.name, e.attributes, t) \
-                if index is not None else None
-            if group is None:
-                group = [u for u in state.R(s).tuples
-                         if u.project(e.attributes) == t]
-            out = [u for u in group if u not in removed.get(s.name, _EMPTY)]
-            out += [v for v in added.get(s.name, _EMPTY)
-                    if v.project(e.attributes) == t]
-            return out
 
         for op in self.ops:
             e = schema[op.relation]
@@ -248,51 +225,44 @@ class Transaction:
                 t = op.rows[0]
                 if op.propagate:
                     for s in state.spec.proper_specialisations(e):
-                        for victim in victims(s, e, t):
+                        for victim in _candidate_group(
+                                state, index, added, removed,
+                                s.name, e.attributes, t):
                             drop(s.name, victim)
                 drop(e.name, t)
             elif op.kind == "remove":
                 for t in op.rows:
                     drop(e.name, t)
-            else:  # replace
-                rows: dict = {}
-                for t in op.rows:
-                    rows[t] = None
-                replaced[e.name] = rows
-                added.pop(e.name, None)
-                removed.pop(e.name, None)
-        return Changes(added, removed, {
-            name: Relation._trusted(schema[name].attributes, rows)
-            for name, rows in replaced.items()
-        })
+            else:  # replace: the patch from the head's rows to op.rows
+                base = state.R(e).tuples
+                rows = dict.fromkeys(op.rows)
+                removed[e.name] = {t: None for t in base if t not in rows}
+                added[e.name] = {t: None for t in rows if t not in base}
+        return Changes(added, removed)
 
 
 class Changes:
     """One transaction's net row effect: the unit of commit.
 
-    ``added``/``removed`` map relation names to row tuples (every listed
-    row a genuine difference against the commit-time head);
-    ``replaced`` maps names to whole replacement relations.
+    ``added``/``removed`` map relation names to row tuples, every listed
+    row a genuine difference against the commit-time head.
     """
 
-    __slots__ = ("added", "removed", "replaced", "_added", "_removed")
+    __slots__ = ("added", "removed", "_added", "_removed")
 
     def __init__(self, added: Mapping[str, Iterable[Tuple]],
-                 removed: Mapping[str, Iterable[Tuple]],
-                 replaced: Mapping[str, Relation]):
+                 removed: Mapping[str, Iterable[Tuple]]):
         self.added = {n: tuple(rows) for n, rows in added.items() if rows}
         self.removed = {n: tuple(rows) for n, rows in removed.items() if rows}
-        self.replaced = dict(replaced)
         self._added = {n: frozenset(rows) for n, rows in self.added.items()}
         self._removed = {n: frozenset(rows) for n, rows in self.removed.items()}
 
     def __bool__(self) -> bool:
-        return bool(self.added or self.removed or self.replaced)
+        return bool(self.added or self.removed)
 
     def __repr__(self) -> str:
         return (f"Changes(+{sum(map(len, self.added.values()))}, "
-                f"-{sum(map(len, self.removed.values()))}, "
-                f"replaced={sorted(self.replaced)})")
+                f"-{sum(map(len, self.removed.values()))})")
 
 
 class ValidationPlan:
@@ -373,14 +343,12 @@ class ValidationPlan:
                              for name, sets in family.items()}
 
 
-def write_footprint(plan: ValidationPlan, changes: Changes) -> frozenset | None:
+def write_footprint(plan: ValidationPlan, changes: Changes) -> frozenset:
     """The lhs-groups a commit touched: every changed row projected
     through its relation's probe family — ``(relation, attrs,
     projected-row)`` triples at the same granularity ``CheckSet.recheck``
-    re-sweeps at.  ``None`` (unbounded) for replace-carrying commits.
+    re-sweeps at.
     """
-    if changes.replaced:
-        return None
     keys = set()
     for rows_of in (changes.added, changes.removed):
         for name, rows in rows_of.items():
@@ -388,6 +356,25 @@ def write_footprint(plan: ValidationPlan, changes: Changes) -> frozenset | None:
                 for t in rows:
                     keys.add((name, attrs, t.project(attrs)))
     return frozenset(keys)
+
+
+def _candidate_group(state, index, added: Mapping, removed: Mapping,
+                     name: str, attrs: frozenset, key: Tuple) -> list[Tuple]:
+    """The rows of ``name`` after a pending delta whose projection onto
+    ``attrs`` is ``key``: the head group (from the probe ``index``, else
+    a scan of ``state``) minus the ``removed`` rows, plus the ``added``
+    rows that project onto ``key``."""
+    if attrs == state.schema[name].attributes:
+        base = (key,) if key in state.R(name).tuples else ()
+    else:
+        base = index.group(name, attrs, key) if index is not None else None
+        if base is None:
+            base = [u for u in state.R(name).tuples
+                    if u.project(attrs) == key]
+    rem = removed.get(name, _EMPTY)
+    out = [u for u in base if u not in rem]
+    out += [v for v in added.get(name, ()) if v.project(attrs) == key]
+    return out
 
 
 def validate_changes(plan: ValidationPlan, state, changes: Changes,
@@ -399,13 +386,7 @@ def validate_changes(plan: ValidationPlan, state, changes: Changes,
     the delta touches can flip, and each check below probes exactly
     those.  Returns structured findings (empty = commit is admissible);
     every finding carries object-level witness rows.
-
-    Replace-carrying deltas are out of scope (the engine routes them to
-    the full audit); this validator raises on them rather than judge a
-    footprint it cannot bound.
     """
-    if changes.replaced:
-        raise StoreError("validate_changes cannot judge a replace delta")
     findings: list[dict] = []
     added, removed = changes.added, changes.removed
 
@@ -415,19 +396,8 @@ def validate_changes(plan: ValidationPlan, state, changes: Changes,
         return t in changes._added.get(name, _EMPTY) \
             or t in state.R(name).tuples
 
-    def group(name: str, attrs: frozenset, key: Tuple) -> list[Tuple]:
-        # Candidate rows of `name` whose projection onto `attrs` is `key`.
-        if attrs == plan.schema[name].attributes:
-            return [key] if candidate_has(name, key) else []
-        base = index.group(name, attrs, key) if index is not None else None
-        if base is None:
-            base = [u for u in state.R(name).tuples
-                    if u.project(attrs) == key]
-        rem = changes._removed.get(name, _EMPTY)
-        out = [u for u in base if u not in rem]
-        out += [v for v in changes._added.get(name, ())
-                if v.project(attrs) == key]
-        return out
+    group = partial(_candidate_group, state, index,
+                    changes._added, changes._removed)
 
     # Functional and cardinality constraints: re-judge dirty lhs-groups.
     for label, context, lhs, rhs in plan.fds:

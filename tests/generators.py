@@ -270,6 +270,71 @@ def random_frame_message(rng: random.Random) -> dict:
     return message
 
 
+def random_patch_txn(rng: random.Random, db) -> list[dict]:
+    """One random transaction over ``db`` whose first op is a ``replace``;
+    a ``remove``, ``insert`` or ``delete`` record may follow.
+
+    A replace keeps each current row with a drawn probability, may swap
+    a kept row for a copy with one of the type's own attributes (those
+    no generalisation has) changed, and may add a random in-domain row,
+    so it drops rows, brings rows, or keeps the relation as is.  Most
+    replaces target ``manager``, whose rows nothing contains: dropping
+    them, or changing a bonus, is admissible, which keeps accepted
+    replaces common.
+    The ops are records (the :meth:`Session.run` form); every draw walks
+    attributes and rows in sorted order, so a seed fixes the transaction
+    whatever the interpreter's hash seed.
+    """
+    from repro.workloads import op_record
+
+    schema = db.schema
+    types = sorted(schema, key=lambda t: t.name)
+
+    def rows_of(e):
+        return sorted(db.R(e).tuples, key=repr)
+
+    def value(a):
+        return rng.choice(sorted(schema.universe.domain(a).values, key=repr))
+
+    def random_row(e):
+        return {a: value(a) for a in sorted(e.attributes)}
+
+    def mutated(e, t):
+        inherited = set().union(*(g.attributes for g in
+                                  db.gen.proper_generalisations(e)))
+        a = rng.choice(sorted(e.attributes - inherited or e.attributes))
+        return dict(t.as_dict(), **{a: value(a)})
+
+    e = schema["manager"] if rng.random() < 0.6 else rng.choice(types)
+    rows = rows_of(e)
+    p_keep = rng.choice((1.0, 1.0, 0.95, 0.8))
+    keep = [t for t in rows if rng.random() < p_keep]
+    if keep and rng.random() < 0.4:
+        keep.append(mutated(e, keep.pop(rng.randrange(len(keep)))))
+    keep = [dict(t) for t in keep]
+    if rng.random() < 0.1:
+        keep.append(random_row(e))
+    ops = [{"op": "replace", "relation": e.name, "rows": keep}]
+    if rng.random() < 0.3:
+        e = rng.choice(types)
+        rows = rows_of(e)
+        kind = rng.choice(("remove", "insert", "delete"))
+        if kind == "remove":
+            doomed = [t.as_dict() for t in
+                      rng.sample(rows, min(len(rows), rng.randint(0, 2)))]
+            if rng.random() < 0.3:
+                doomed.append(random_row(e))
+            ops.append({"op": "remove", "relation": e.name,
+                        "rows": doomed})
+        elif kind == "insert" or not rows:
+            row = mutated(e, rng.choice(rows)) if rows else random_row(e)
+            ops.append(op_record("insert", e.name, row, rng.random() < 0.8))
+        else:
+            ops.append(op_record("delete", e.name, rng.choice(rows).as_dict(),
+                                 rng.random() < 0.8))
+    return ops
+
+
 def audit_oracle(engine, ops) -> tuple:
     """Judge one transaction against the engine's main head with the full
     audit alone: the commit gate's differential oracle.
@@ -287,7 +352,7 @@ def audit_oracle(engine, ops) -> tuple:
     if not changes:
         return "noop", txn, head
     candidate = head.apply_changes(changes.added, changes.removed,
-                                   changes.replaced, validate=False)
+                                   validate=False)
     report = check_all(engine.schema, candidate,
                        constraints=engine.constraints,
                        contributors=candidate.contributors)

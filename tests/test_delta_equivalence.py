@@ -46,7 +46,7 @@ from repro.core.generalisation import GeneralisationStructure
 from repro.core.specialisation import SpecialisationStructure
 from repro.errors import EvolutionError, ExtensionError, SchemaError
 from repro.kernel import CheckSet, InstanceKernel, derive_instance
-from repro.relational import Relation
+from repro.relational import Relation, Tuple
 from repro.topology import (
     space_with_subbase_member,
     space_without_subbase_member,
@@ -194,7 +194,17 @@ class TestDeltaKernelAgainstFresh:
         removed += [row_items([rng.randint(0, domain + 80) for _ in attrs])]
         if added and rng.random() < 0.5:
             removed.append(added[0])  # add+remove the same row
+        groups = {key: list(group)
+                  for key, group in parent.partition(idxs).items()}
         derived, delta = derive_instance(parent, added, removed)
+        # The child never appends to its parent's groups; without
+        # removals it shares every group its added rows leave alone.
+        assert parent.partition(idxs) == groups
+        if delta and not delta.removed:
+            touched = {tuple(r[i] for i in idxs) for r in delta.added}
+            assert {key for key, group in derived.partition(idxs).items()
+                    if group is parent.partition(idxs).get(key)} \
+                == set(groups) - touched
         survivors = {tuple(t) for t in rel.tuples} - set(removed)
         survivors |= set(added)
         fresh_rel = Relation(attrs, [dict(r) for r in survivors])
@@ -490,6 +500,8 @@ class TestUpdateValidation:
         with pytest.raises(ExtensionError):
             db.replace("person", Relation({"name", "dept"},
                                           [{"name": "a", "dept": 1}]))
+        with pytest.raises(ExtensionError):  # no rows to check, still refused
+            db.replace("person", Relation({"name", "dept"}))
         with pytest.raises(ExtensionError):
             db.replace("person", [{"name": "zzz-not-in-domain"}])
 
@@ -497,6 +509,8 @@ class TestUpdateValidation:
         assert db.insert("person", {"name": "a"}) is db
         assert db.delete("person", {"name": "c"}, propagate=False) is db
         assert db.remove_tuples("employee", []) is db
+        assert db.replace("person", db.R("person")) is db
+        assert db.replace("employee", [{"name": "a", "dept": 1}]) is db
 
     def test_delete_validation_happens_before_mutation(self, db):
         before = dict(db._relations)
@@ -529,7 +543,7 @@ class TestOneSuccessorBuilder:
         assert dict(new._delta.added) == {
             "manager": tuple(new.R("manager").tuples
                              - db.R("manager").tuples)}
-        assert not new._delta.removed and not new._delta.replaced
+        assert not new._delta.removed
         for e in db.schema:
             if e.name != "manager":
                 assert new._relations[e] is db._relations[e]
@@ -647,21 +661,20 @@ class TestOneSuccessorBuilder:
         dropped = db.remove_tuples("manager", [ann, ghost])
         assert [t.as_dict() for t in dropped._delta.removed["manager"]] \
             == [ann]  # the absent row is not recorded
-        assert not dropped._delta.added and not dropped._delta.replaced
+        assert not dropped._delta.added
         assert dropped.R("employee") is db.R("employee")  # no cascade
 
-        swapped = db.replace("department",
-                             [{"depname": "sales", "location": "utrecht"}])
-        assert swapped._delta.replaced == {"department"}
-        assert not swapped._delta.added and not swapped._delta.removed
-        assert len(swapped.R("department")) == 1
-
-    def test_patch_and_replace_of_one_relation_is_refused(self, db):
-        with pytest.raises(ExtensionError, match="both patched and replaced"):
-            db.apply_changes(
-                added={"department": [{"depname": "sales",
-                                       "location": "utrecht"}]},
-                replaced={"department": []})
+    def test_replace_records_a_row_patch(self, db):
+        old = db.R("department").tuples
+        utrecht = Tuple({"depname": "sales", "location": "utrecht"})
+        swapped = db.replace("department", [utrecht.as_dict()])
+        assert swapped._delta.added == {"department": (utrecht,)}
+        assert set(swapped._delta.removed["department"]) == old - {utrecht}
+        assert swapped._delta.changed == {"department"}
+        assert swapped.R("department").tuples == {utrecht}
+        for e in db.schema:
+            if e.name != "department":
+                assert swapped._relations[e] is db._relations[e]
 
 
 class TestInstanceMemoLRU:

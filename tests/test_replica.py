@@ -131,9 +131,8 @@ class TestLiveTailDifferential:
 
     @pytest.mark.parametrize("verify", [False, True])
     def test_replace_commit_is_followed(self, tmp_path, verify):
-        """A wholesale ``replace`` (the gate's audit path) followed by
-        ordinary inserts reaches a fresh replica's head unchanged, its
-        footprint still unbounded."""
+        """A ``replace`` (netted into a row patch) followed by ordinary
+        inserts reaches a fresh replica's head unchanged."""
         schema, db, constraints = serving_state(8)
         wal_dir = tmp_path / "wal"
         engine = StoreEngine(db, constraints,

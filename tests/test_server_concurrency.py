@@ -48,8 +48,7 @@ def _assert_serializable(engine, branch="main"):
         txn = Transaction(engine.schema, branch)
         txn.ops = list(version.ops)
         changes = txn.net_changes(state)
-        state = state.apply_changes(changes.added, changes.removed,
-                                    changes.replaced)
+        state = state.apply_changes(changes.added, changes.removed)
         assert state == version.state, version.vid
     return state
 

@@ -37,7 +37,12 @@ from repro.workloads import (
     serving_state,
 )
 
-from generators import audit_oracle, last_segment, wal_records
+from generators import (
+    audit_oracle,
+    last_segment,
+    random_patch_txn,
+    wal_records,
+)
 
 
 @pytest.fixture
@@ -129,8 +134,7 @@ class TestTransactionBuffering:
                     oracle = update(op["relation"], op["row"],
                                     op["propagate"])
                 changes = txn.net_changes(db)
-                derived = db.apply_changes(changes.added, changes.removed,
-                                           changes.replaced)
+                derived = db.apply_changes(changes.added, changes.removed)
                 assert derived == oracle
 
     def test_spec_generators_emit_op_records(self):
@@ -237,13 +241,25 @@ class TestCommitGate:
         with pytest.raises(StoreError):
             StoreEngine(broken, constraints)
 
-    def test_replace_routes_through_full_audit(self):
+    def test_replace_commit_never_runs_the_full_audit(self, monkeypatch):
+        """A replace nets into a row patch, so the probes judge it:
+        ``check_all`` runs for neither an accepted nor a rejected
+        replace."""
+        from repro.store import engine as engine_mod
+
         engine = _mk_engine()
-        state = engine.state()
-        keep = sorted(state.R("manager").tuples, key=repr)[:3]
-        version = engine.commit(
-            engine.begin().replace("manager", [t.as_dict() for t in keep]))
+        calls = []
+        audit = engine_mod.check_all
+        monkeypatch.setattr(engine_mod, "check_all", lambda *a, **kw: (
+            calls.append(a), audit(*a, **kw))[1])
+        managers = sorted(engine.state().R("manager").tuples, key=repr)
+        keep = [t.as_dict() for t in managers[:3]]
+        engine.commit(engine.begin().replace("manager", keep))
         assert len(engine.state().R("manager")) == 3
+        bad = dict(manager_stream(60, 1)[0], budget=52)
+        with pytest.raises(CommitRejected):
+            engine.commit(engine.begin().replace("manager", keep + [bad]))
+        assert calls == []
         assert engine.audit().ok()
 
 
@@ -273,6 +289,35 @@ class TestDeltaVsAuditEquivalence:
         report = check_all(engine.schema, engine.state(),
                            constraints=engine.constraints)
         assert report.ok()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_replace_and_remove_traffic_agreement(self, seed):
+        """Transactions carrying ``replace`` and ``remove`` records get
+        the full audit's verdict and state from the delta gate; a
+        replace of ``manager`` that only drops rows is accepted."""
+        rng = random.Random(seed)
+        engine = _mk_engine(40)
+        session = Session(engine)
+        accepted_replaces = 0
+        for _ in range(50):
+            head = engine.state()
+            ops = random_patch_txn(rng, head)
+            verdict, txn, candidate = audit_oracle(engine, ops)
+            drops_managers = ops[0]["relation"] == "manager" \
+                and len(ops) == 1 and not txn.net_changes(head).added
+            try:
+                session.run(ops)
+                outcome = "ok"
+            except CommitRejected:
+                outcome = "rejected"
+            assert outcome == ("rejected" if verdict == "rejected"
+                               else "ok"), (seed, ops)
+            if outcome == "ok":
+                assert engine.state() == candidate, (seed, ops)
+                accepted_replaces += verdict == "ok"
+            assert outcome == "ok" or not drops_managers, (seed, ops)
+        assert accepted_replaces >= 10, seed
+        assert engine.audit().ok()
 
     def test_committed_versions_always_audit_clean(self):
         rng = random.Random(99)

@@ -43,8 +43,7 @@ class GlobalLockEngine(StoreEngine):
 
     def _validate(self, head_state, changes, index):
         derived = head_state.apply_changes(
-            changes.added, changes.removed, changes.replaced,
-            validate=True)
+            changes.added, changes.removed, validate=True)
         candidate = DatabaseExtension(
             self.schema, {e.name: derived.R(e) for e in self.schema},
             head_state.contributors)
@@ -100,8 +99,7 @@ def _assert_serializable(engine, branch="main"):
         txn = Transaction(engine.schema, branch)
         txn.ops = list(version.ops)
         changes = txn.net_changes(state)
-        state = state.apply_changes(changes.added, changes.removed,
-                                    changes.replaced)
+        state = state.apply_changes(changes.added, changes.removed)
         assert state == version.state, version.vid
     return state
 

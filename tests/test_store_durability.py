@@ -379,8 +379,8 @@ class TestCheckpoint:
 class TestReplaceThroughTheLog:
     @pytest.mark.parametrize("verify", [False, True])
     def test_replay_rebuilds_replace_commit(self, tmp_path, verify):
-        """A wholesale ``replace`` commit (the gate's audit path)
-        followed by ordinary inserts replays to the identical graph."""
+        """A ``replace`` commit (netted into a row patch) followed by
+        ordinary inserts replays to the identical graph."""
         wal = tmp_path / "store.wal"
         engine = _mk_engine(n=30, wal=wal)
         keep = sorted(engine.state().R("manager").tuples, key=repr)[:3]
@@ -395,6 +395,43 @@ class TestReplaceThroughTheLog:
             twin = replayed.version(v.vid)
             assert twin.state == v.state, v.vid
         assert replayed.graph.branches() == engine.graph.branches()
+
+    def test_logged_no_op_replace_replays_as_its_own_version(self, tmp_path):
+        """Stores that kept a replace whole logged a replace that keeps
+        every row as a commit of its own: v2 below, whose state equals
+        v1's.  Such a log replays to the same version ids and states
+        trusted, verified, and through a verifying replica, although a
+        replace like it commits nothing today."""
+        from repro.server import ReplicaEngine
+
+        wal = tmp_path / "wal"
+        engine = _mk_engine(n=30, wal=wal)
+        first, second = manager_stream(30, 2)
+        v1 = engine.commit(engine.begin().insert("manager", first))
+        assert engine.commit(engine.begin().replace(
+            "manager", engine.state().R("manager"))) is v1
+        managers = [t.as_dict() for t in v1.state.R("manager")]
+        engine.wal.append({
+            "type": "commit", "version": "v2", "parent": "v1",
+            "branch": "main",
+            "ops": [{"op": "replace", "relation": "manager",
+                     "rows": managers}]})
+        engine.wal.append({
+            "type": "commit", "version": "v3", "parent": "v2",
+            "branch": "main",
+            "ops": [{"op": "insert", "relation": "manager", "row": second,
+                     "propagate": True}]})
+        engine.close()
+        expected = [engine.state("v0"), v1.state, v1.state,
+                    v1.state.insert("manager", second)]
+        replica = ReplicaEngine(wal, verify=True)
+        replica.catch_up()
+        for graph in (StoreEngine.replay(wal).graph,
+                      StoreEngine.replay(wal, verify=True).graph,
+                      replica.graph):
+            assert [v.vid for v in graph.log()] == ["v0", "v1", "v2", "v3"]
+            assert [v.state for v in graph.log()] == expected
+            assert graph.branches() == {"main": "v3"}
 
 
 class TestReplayParentCheck:
