@@ -8,8 +8,8 @@ timed on the same traffic:
 * ``delta`` — the store's own gate: targeted O(|delta|) validation
   against the branch head under the commit lock (:class:`StoreEngine`);
 * ``audit`` — the bench-local :class:`AuditEngine`, whose every commit
-  takes the gate's audit fallback (the full dirty-context
-  ``check_all``, serialised behind the commit lock);
+  derives its candidate and judges it by the full dirty-context
+  ``check_all``, serialised behind the commit lock;
 * ``seriallock`` — the bench-local :class:`GlobalLockEngine`: each
   commit rebuilds the state through the public constructor and audits
   it cold (the pre-delta behaviour of the library, and the contrast
@@ -36,7 +36,6 @@ import pytest
 
 from repro.core import DatabaseExtension
 from repro.store import Session, StoreEngine
-from repro.store.txn import findings_from_report
 from repro.workloads import (
     disjoint_commit_specs,
     manager_stream,
@@ -50,11 +49,19 @@ WRITERS = 8
 COMMITS = {"delta": 240, "audit": 48, "serial": 4}
 
 
+def audit_findings(engine: StoreEngine, candidate) -> list[dict]:
+    """The full audit of ``candidate`` as commit-rejection findings."""
+    return [{"check": "audit", "message": str(f)}
+            for f in engine._audit(candidate).findings]
+
+
 class AuditEngine(StoreEngine):
-    """Every commit through the gate's full-audit fallback."""
+    """Every commit's derived candidate judged by the full audit."""
 
     def _validate(self, head_state, changes, index):
-        return super()._validate(head_state, changes, None)
+        candidate = head_state.apply_changes(
+            changes.added, changes.removed, validate=False)
+        return audit_findings(self, candidate)
 
 
 class GlobalLockEngine(StoreEngine):
@@ -67,7 +74,7 @@ class GlobalLockEngine(StoreEngine):
         candidate = DatabaseExtension(
             self.schema, {e.name: derived.R(e) for e in self.schema},
             head_state.contributors)
-        return candidate, findings_from_report(self._audit(candidate))
+        return audit_findings(self, candidate)
 
 
 ENGINES = {"delta": StoreEngine, "audit": AuditEngine,

@@ -193,7 +193,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 StoreServer(engine, host, port,
                             max_connections=args.max_connections,
                             idle_timeout=args.idle_timeout),
-                f"serving {args.document} ({engine.validation} mode)")
+                f"serving {args.document}")
         finally:
             engine.close()
     rng = random.Random(args.seed)
@@ -237,7 +237,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     summary = {
         "txns": args.txns,
         "threads": args.threads,
-        "mode": engine.validation,
         **counts,
         "versions": len(engine.graph),
         "head": engine.head_version().vid,
@@ -249,7 +248,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
-        for key in ("txns", "threads", "mode", "committed", "rejected",
+        for key in ("txns", "threads", "committed", "rejected",
                     "noop", "versions", "head", "seconds", "commits_per_s"):
             print(f"{key}: {summary[key]}")
         print("final audit:", "CONSISTENT" if report.ok()

@@ -455,14 +455,17 @@ class ChaosProxy:
                 continue
             with self._lock:
                 self._pairs.append((downstream, upstream))
-            for src, dst, direction in (
+            # List both pumps before either starts: once a byte has
+            # crossed the pair, every thread serving it is listed.
+            pumps = [threading.Thread(
+                target=self._pump, args=(src, dst, direction),
+                name=f"chaos-proxy-{direction}", daemon=True)
+                for src, dst, direction in (
                     (downstream, upstream, "c2s"),
-                    (upstream, downstream, "s2c")):
-                t = threading.Thread(
-                    target=self._pump, args=(src, dst, direction),
-                    name=f"chaos-proxy-{direction}", daemon=True)
+                    (upstream, downstream, "s2c"))]
+            self._threads.extend(pumps)
+            for t in pumps:
                 t.start()
-                self._threads.append(t)
 
     @staticmethod
     def _close(*socks: socket.socket) -> None:

@@ -418,8 +418,7 @@ class StoreServer:
             role="replica" if self.read_only else "primary",
             epoch=summary.get("epoch", 0),
             branch=branch, branches=summary["branches"],
-            relations=summary["relations"],
-            validation=summary["validation"])
+            relations=summary["relations"])
 
     async def _op_ping(self, conn, rid, message) -> dict:
         return protocol.ok_response(rid, pong=True)

@@ -9,22 +9,15 @@ construction (``check_all`` plus every integrity constraint), and a
 commit only installs a successor its validation admitted — so every
 version ever served satisfies the design axioms.
 
-One commit gate, its path chosen from the engine's constraint set
-(timed in ``bench_a9_store_throughput``):
-
-* targeted O(|delta|) probes (:func:`~repro.store.txn.validate_changes`)
-  against the head plus a mutable head probe index, whenever the
-  :class:`~repro.store.txn.ValidationPlan` can probe every constraint
-  (``plan.incremental_ok``); the critical section is O(|delta|).  Every
-  delta is a row patch — a buffered ``replace`` nets into the rows it
-  adds and removes — so every commit of such an engine takes this path;
-* the full dirty-context ``check_all`` audit of the derived candidate
-  (chained caches + ``CheckSet.recheck``) for every commit of an engine
-  whose constraint set holds kinds the plan cannot probe (its heads
-  keep no probe index).
-
-:attr:`StoreEngine.validation` reports the gate: ``"delta"``, or
-``"audit"`` when the plan cannot probe incrementally.
+One commit gate (timed in ``bench_a9_store_throughput``): targeted
+O(|delta|) probes (:func:`~repro.store.txn.validate_changes`) against
+the head plus its mutable :class:`ProbeIndex`, so the critical section
+is O(|delta|).  Every delta is a row patch — a buffered ``replace``
+nets into the rows it adds and removes — and every constraint a store
+takes is one the :class:`~repro.store.txn.ValidationPlan` can probe
+(it refuses any other kind at construction, before the root audit and
+before a WAL is opened), so the probes judge every commit.  The full
+``check_all`` audit stays the independent judge (:meth:`audit`).
 
 Concurrency contract: reads are lock-free (states are immutable and the
 graph is append-only); one engine lock serialises commits.  One rule
@@ -45,18 +38,12 @@ from pathlib import Path
 
 from repro.core import ConstraintSet, DatabaseExtension, check_all
 from repro.core.axioms import AxiomReport
-from repro.errors import (
-    CommitRejected,
-    DependencyError,
-    StoreError,
-    TornTailWarning,
-)
+from repro.errors import CommitRejected, StoreError, TornTailWarning
 from repro.obs.metrics import MetricsRegistry, WalProbe
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.store.txn import (
     Transaction,
     ValidationPlan,
-    findings_from_report,
     validate_changes,
     write_footprint,
 )
@@ -124,12 +111,9 @@ class ProbeIndex:
                 self._by_name.setdefault(name, []).append((attrs, groups))
 
     def group(self, name: str, attrs: frozenset, key):
-        """The head rows of ``name`` projecting onto ``key``, or ``None``
-        when ``(name, attrs)`` is not an indexed probe."""
-        groups = self._groups.get((name, attrs))
-        if groups is None:
-            return None
-        return groups.get(key, ())
+        """The head rows of ``name`` projecting onto ``key`` (``attrs``
+        a proper subset in the relation's probe family)."""
+        return self._groups[(name, attrs)].get(key, ())
 
     def apply(self, changes) -> None:
         """Advance the index past one committed delta (O(|delta|) per
@@ -161,7 +145,8 @@ class StoreEngine:
         invariant).
     constraints:
         Integrity constraints (a :class:`ConstraintSet` or an iterable)
-        every committed state must satisfy.
+        every committed state must satisfy; each must be a kind the
+        :class:`ValidationPlan` can probe, else :class:`StoreError`.
     wal:
         Optional segment-directory path or :class:`WriteAheadLog`; when
         given, the root snapshot and every commit/branch/checkpoint are
@@ -190,16 +175,14 @@ class StoreEngine:
         else:
             self._constraint_set = ConstraintSet(self.schema, constraints)
         self.constraints = tuple(self._constraint_set.constraints)
-        self._vet_constraints()
+        self.plan = ValidationPlan(root, self.constraints)
         if audit_root:
             report = self._audit(root)
             if not report.ok():
                 raise StoreError(
                     "root state is inconsistent; a store only serves "
                     "axiom-valid states:\n" + report.render())
-        self.plan = ValidationPlan(root, self.constraints)
         self._lock = threading.Lock()
-        self._indexes: dict[str, ProbeIndex] = {}
         self._pins: dict[str, int] = {}
         self.checkpoint_every = checkpoint_every
         self._commits_since_checkpoint = 0
@@ -215,9 +198,8 @@ class StoreEngine:
                                       root_vid=entries[0][0], seq=seq)
             for vid, floor_branch, state in entries[1:]:
                 self.graph.add_floor(vid, floor_branch, state)
-        if self.plan.incremental_ok:
-            for name, head in self.graph.heads.items():
-                self._indexes[name] = ProbeIndex(self.plan, head.state)
+        self._indexes = {name: ProbeIndex(self.plan, head.state)
+                         for name, head in self.graph.heads.items()}
         if wal is not None:
             target = wal.path if isinstance(wal, WriteAheadLog) else Path(wal)
             if not WriteAheadLog.is_empty(target):
@@ -241,24 +223,6 @@ class StoreEngine:
         self._obs_clock = _ZERO_CLOCK
         self._obs_hists: tuple | None = None
         self._obs_counters: dict | None = None
-
-    def _vet_constraints(self) -> None:
-        """Refuse ill-typed dependencies up front: the store judges them
-        on every commit, so a constraint that cannot be judged is a
-        configuration error, not a per-commit finding."""
-        from repro.core.integrity import (
-            CardinalityConstraint,
-            FunctionalConstraint,
-        )
-        for c in self.constraints:
-            fds = [c.fd] if isinstance(c, FunctionalConstraint) else \
-                c.as_fds() if isinstance(c, CardinalityConstraint) else ()
-            for fd in fds:
-                try:
-                    fd.validate(self.schema)
-                except DependencyError as exc:
-                    raise StoreError(
-                        f"constraint {c.name!r} is ill-typed: {exc}") from exc
 
     def _audit(self, state: DatabaseExtension) -> AxiomReport:
         return check_all(self.schema, state, constraints=self.constraints,
@@ -289,13 +253,6 @@ class StoreEngine:
         return self.graph.head(branch).state
 
     @property
-    def validation(self) -> str:
-        """The commit gate this engine runs: ``"delta"`` (targeted
-        probes) or ``"audit"`` (a constraint kind the plan cannot
-        probe forces the full audit on every commit)."""
-        return "delta" if self.plan.incremental_ok else "audit"
-
-    @property
     def epoch(self) -> int:
         """The promotion epoch this engine serves under (0 until a
         failover ever happens; see :func:`repro.server.failover.promote`
@@ -305,15 +262,13 @@ class StoreEngine:
     def describe(self) -> dict:
         """A summary of the store for protocol handshakes and status
         probes: branches with their head version ids, the sequence
-        counter, the promotion epoch, the relation names served, and
-        the commit gate."""
+        counter, the promotion epoch and the relation names served."""
         return {
             "branches": self.graph.branches(),
             "seq": self.graph.seq,
             "epoch": self._epoch,
             "versions": len(self.graph),
             "relations": sorted(e.name for e in self.schema),
-            "validation": self.validation,
         }
 
     def audit(self, vid: str | None = None,
@@ -345,8 +300,7 @@ class StoreEngine:
             if self.wal is not None:
                 self.wal.append(branch_record(name, version.vid))
             self.graph.create_branch(name, version)
-            if self.plan.incremental_ok:
-                self._indexes[name] = ProbeIndex(self.plan, version.state)
+            self._indexes[name] = ProbeIndex(self.plan, version.state)
             return version
 
     def commit(self, txn: Transaction) -> Version:
@@ -375,7 +329,7 @@ class StoreEngine:
         try:
             with self._lock:
                 head = self.graph.head(txn.branch)
-                index = self._indexes.get(txn.branch)
+                index = self._indexes[txn.branch]
                 changes = txn.net_changes(head.state, index)
                 if not changes:
                     txn.committed = True
@@ -383,15 +337,14 @@ class StoreEngine:
                         counters["noops"].inc()
                     return head
                 t1 = clock()
-                candidate, findings = self._validate(head.state, changes,
-                                                     index)
+                findings = self._validate(head.state, changes, index)
                 if findings:
                     raise CommitRejected(
                         f"commit of {changes!r} violates "
                         f"{len(findings)} check(s)", tuple(findings))
                 t2 = clock()
                 version, t3, t4 = self._install_locked(
-                    txn, head, index, changes, candidate, clock)
+                    txn, head, index, changes, clock)
         except CommitRejected:
             if counters is not None:
                 counters["rejected"].inc()
@@ -496,17 +449,14 @@ class StoreEngine:
             })
 
     def _install_locked(self, txn: Transaction, head: Version, index,
-                        changes, candidate: DatabaseExtension | None,
-                        clock):
-        """Install one commit (engine lock held): derive the successor
-        unless validation already did, log it, advance the graph and the
-        head's probe index, and apply the checkpoint cadence.  The WAL
-        record lands before the graph advances.  Returns ``(version, t3,
-        t4)``: the derive/wal_append phase boundaries read off
-        ``clock``."""
-        if candidate is None:
-            candidate = head.state.apply_changes(
-                changes.added, changes.removed, validate=False)
+                        changes, clock):
+        """Install one commit (engine lock held): derive the successor,
+        log it, advance the graph and the head's probe index, and apply
+        the checkpoint cadence.  The WAL record lands before the graph
+        advances.  Returns ``(version, t3, t4)``: the derive/wal_append
+        phase boundaries read off ``clock``."""
+        candidate = head.state.apply_changes(
+            changes.added, changes.removed, validate=False)
         t3 = clock()
         if self.wal is not None:
             self.wal.append(commit_record(
@@ -514,8 +464,7 @@ class StoreEngine:
         t4 = clock()
         version = self.graph.add_commit(head, candidate, tuple(txn.ops),
                                         txn.branch)
-        if index is not None:
-            index.apply(changes)
+        index.apply(changes)
         txn.committed = True
         if self.wal is not None and self.checkpoint_every is not None:
             self._commits_since_checkpoint += 1
@@ -524,15 +473,9 @@ class StoreEngine:
         return version, t3, t4
 
     def _validate(self, head_state: DatabaseExtension, changes, index):
-        """(candidate, findings) for one delta: the full audit of the
-        derived candidate when the head has no probe index, the targeted
-        probes otherwise (candidate ``None``: judged without deriving
-        the successor)."""
-        if index is None:
-            candidate = head_state.apply_changes(
-                changes.added, changes.removed, validate=False)
-            return candidate, findings_from_report(self._audit(candidate))
-        return None, validate_changes(self.plan, head_state, changes, index)
+        """The findings of one delta, judged by the targeted probes
+        without deriving the successor (empty = admissible)."""
+        return validate_changes(self.plan, head_state, changes, index)
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -913,10 +856,10 @@ class StoreEngine:
         is structurally identical."""
         with self._lock:
             head = self.graph.head(txn.branch)
-            index = self._indexes.get(txn.branch)
+            index = self._indexes[txn.branch]
             changes = txn.net_changes(head.state, index)
             version, _, _ = self._install_locked(
-                txn, head, index, changes, None, _ZERO_CLOCK)
+                txn, head, index, changes, _ZERO_CLOCK)
             return version
 
     def close(self) -> None:
@@ -925,5 +868,4 @@ class StoreEngine:
 
     def __repr__(self) -> str:
         return (f"StoreEngine({len(self.graph)} versions, "
-                f"branches={self.graph.branches()}, "
-                f"validation={self.validation!r})")
+                f"branches={self.graph.branches()})")

@@ -20,11 +20,16 @@ need only judge the checks its delta can disturb:
 * :class:`ValidationPlan` compiles the schema + constraint set once into
   the per-relation *probe family* — the attribute sets through which any
   extension-level check reads a relation (FD determinants, containment
-  projection sets, contributor schemas, participation member sets).
+  projection sets, contributor schemas, participation member sets).  It
+  is also the one place that decides which constraints a store takes:
+  the four kinds a bounded probe can judge (subset, functional,
+  cardinality, participation), each well-typed; anything else raises
+  :class:`StoreError` when the plan is built.
 * :func:`validate_changes` re-judges, in O(|delta|) probes against the
-  head state, exactly the groups the delta touches — the object-level
-  mirror of :meth:`repro.kernel.CheckSet.recheck`'s dirty-lhs-group
-  sweep (same granularity as :func:`repro.kernel.dirty_group_keys`).
+  head state and its probe index, exactly the groups the delta touches
+  — the object-level mirror of :meth:`repro.kernel.CheckSet.recheck`'s
+  dirty-lhs-group sweep (same granularity as
+  :func:`repro.kernel.dirty_group_keys`).
 * :func:`write_footprint` projects the delta's rows through the same
   probe family, yielding the ``(relation, attrs, projected-row)`` group
   keys the commit touched — what the engine's slow-commit log reports.
@@ -35,7 +40,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from functools import partial
 
-from repro.core.axioms import AxiomReport
 from repro.core.extension import check_domains
 from repro.core.integrity import (
     CardinalityConstraint,
@@ -43,7 +47,7 @@ from repro.core.integrity import (
     ParticipationConstraint,
     SubsetConstraint,
 )
-from repro.errors import ExtensionError, StoreError
+from repro.errors import DependencyError, ExtensionError, StoreError
 from repro.relational import Tuple
 
 _EMPTY: frozenset = frozenset()
@@ -175,16 +179,16 @@ class Transaction:
     # ------------------------------------------------------------------
     # net effect
     # ------------------------------------------------------------------
-    def net_changes(self, state, index=None) -> "Changes":
+    def net_changes(self, state, index) -> "Changes":
         """The transaction's net row effect against ``state``.
 
         Simulates the buffered operations in order over an effective
         view of ``state`` (base rows minus pending removals plus pending
         additions), so re-inserting a removed row cancels, duplicate
         inserts dedup, and cascades see earlier operations of the same
-        transaction.  Delete cascades find their victims through the
-        engine's head probe index when available (one group lookup),
-        falling back to an object-level scan.  A ``replace`` removes the
+        transaction.  Delete cascades find their victims through
+        ``index``, the :class:`~repro.store.engine.ProbeIndex` of
+        ``state`` (one group lookup).  A ``replace`` removes the
         head rows it lacks and adds the rows the head lacks, discarding
         the transaction's earlier operations on that relation.
         """
@@ -268,21 +272,21 @@ class Changes:
 class ValidationPlan:
     """The schema + constraint set compiled into per-relation probes.
 
-    Built once per engine.  ``probe_family[name]`` is the set of
-    attribute sets through which *any* extension-level check reads
-    relation ``name``; it is both the read granularity of
-    :func:`validate_changes` and the group granularity
-    :func:`write_footprint` reports at.
-
-    ``incremental_ok`` is ``False`` when the constraint set contains a
-    kind the plan cannot factor through bounded probes (a custom
-    ``holds`` predicate may read anything); the engine then validates
-    every commit with a full dirty-context audit instead.
+    Built once per engine, before anything else: it is the store's one
+    constraint rule.  Each constraint must be a kind a bounded probe can
+    judge — :class:`SubsetConstraint`, :class:`FunctionalConstraint`,
+    :class:`CardinalityConstraint` or :class:`ParticipationConstraint`
+    (a custom ``holds`` predicate may read anything) — and every
+    dependency must type-check against the schema; anything else raises
+    :class:`StoreError`, since the store judges each constraint on every
+    commit.  ``probe_family[name]`` is the set of attribute sets through
+    which *any* extension-level check reads relation ``name``; it is
+    both the read granularity of :func:`validate_changes` and the group
+    granularity :func:`write_footprint` reports at.
     """
 
     __slots__ = ("schema", "constraints", "fds", "containment_pairs",
-                 "participations", "compounds", "probe_family",
-                 "incremental_ok")
+                 "participations", "compounds", "probe_family")
 
     def __init__(self, state, constraints: Iterable = ()):
         schema = state.schema
@@ -292,7 +296,6 @@ class ValidationPlan:
         pairs: dict[tuple[str, str], frozenset] = {}
         self.participations: list[tuple] = []
         self.compounds: list[tuple] = []
-        self.incremental_ok = True
         for c in self.constraints:
             if isinstance(c, FunctionalConstraint):
                 fds = [c.fd]
@@ -307,9 +310,16 @@ class ValidationPlan:
                      c.member.attributes))
                 continue
             else:
-                self.incremental_ok = False
-                continue
+                raise StoreError(
+                    f"constraint {c.name!r} is a {type(c).__name__}; a "
+                    "store only takes constraints it can probe per "
+                    "commit (subset, fd, cardinality, participation)")
             for fd in fds:
+                try:
+                    fd.validate(schema)
+                except DependencyError as exc:
+                    raise StoreError(
+                        f"constraint {c.name!r} is ill-typed: {exc}") from exc
                 self.fds.append((c.name, fd.context.name,
                                  fd.determinant.attributes,
                                  fd.dependent.attributes))
@@ -361,16 +371,13 @@ def write_footprint(plan: ValidationPlan, changes: Changes) -> frozenset:
 def _candidate_group(state, index, added: Mapping, removed: Mapping,
                      name: str, attrs: frozenset, key: Tuple) -> list[Tuple]:
     """The rows of ``name`` after a pending delta whose projection onto
-    ``attrs`` is ``key``: the head group (from the probe ``index``, else
-    a scan of ``state``) minus the ``removed`` rows, plus the ``added``
-    rows that project onto ``key``."""
+    ``attrs`` is ``key``: the head group (from the probe ``index``)
+    minus the ``removed`` rows, plus the ``added`` rows that project
+    onto ``key``."""
     if attrs == state.schema[name].attributes:
         base = (key,) if key in state.R(name).tuples else ()
     else:
-        base = index.group(name, attrs, key) if index is not None else None
-        if base is None:
-            base = [u for u in state.R(name).tuples
-                    if u.project(attrs) == key]
+        base = index.group(name, attrs, key)
     rem = removed.get(name, _EMPTY)
     out = [u for u in base if u not in rem]
     out += [v for v in added.get(name, ()) if v.project(attrs) == key]
@@ -378,14 +385,15 @@ def _candidate_group(state, index, added: Mapping, removed: Mapping,
 
 
 def validate_changes(plan: ValidationPlan, state, changes: Changes,
-                     index=None) -> list[dict]:
+                     index) -> list[dict]:
     """Judge a patch delta against the (clean) head state in O(|delta|).
 
-    ``state`` is the branch head the delta is about to commit onto; the
-    head is clean by the store's induction invariant, so only the groups
-    the delta touches can flip, and each check below probes exactly
-    those.  Returns structured findings (empty = commit is admissible);
-    every finding carries object-level witness rows.
+    ``state`` is the branch head the delta is about to commit onto and
+    ``index`` its probe index; the head is clean by the store's
+    induction invariant, so only the groups the delta touches can flip,
+    and each check below probes exactly those.  Returns structured
+    findings (empty = commit is admissible); every finding carries
+    object-level witness rows.
     """
     findings: list[dict] = []
     added, removed = changes.added, changes.removed
@@ -509,12 +517,3 @@ def validate_changes(plan: ValidationPlan, state, changes: Changes,
                         "witnesses": [u.as_dict(), affected[0].as_dict()],
                     })
     return findings
-
-
-def findings_from_report(report: AxiomReport) -> list[dict]:
-    """Full-audit findings in the commit-rejection shape."""
-    return [
-        {"check": "audit", "constraint": None, "relation": None,
-         "message": str(f), "witnesses": []}
-        for f in report.findings
-    ]

@@ -60,7 +60,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro import io
-from repro.errors import EpochFenced, SchemaError, StoreError
+from repro.errors import EpochFenced, StoreError
 
 SEGMENT_PATTERN = "wal.%06d.jsonl"
 _SEGMENT_RE = re.compile(r"^wal\.(\d{6})\.jsonl$")
@@ -594,16 +594,9 @@ class WalCursor:
 def snapshot_record(db, constraints, version_id: str,
                     branch: str) -> dict[str, Any]:
     """The root state as a ``snapshot`` record (a full database
-    document, so a WAL is self-contained and replayable from nothing).
-    Constraint kinds without a JSON form cannot be logged."""
-    try:
-        document = io.database_to_dict(db, constraints)
-    except SchemaError as exc:
-        raise StoreError(
-            f"a WAL-backed store needs serialisable constraints: {exc}"
-        ) from exc
+    document, so a WAL is self-contained and replayable from nothing)."""
     return {"type": "snapshot", "version": version_id, "branch": branch,
-            "document": document}
+            "document": io.database_to_dict(db, constraints)}
 
 
 def commit_record(version_id: str, parent_id: str, branch: str,
@@ -631,13 +624,7 @@ def checkpoint_record(graph, constraints, epoch: int = 0) -> dict[str, Any]:
     branches: dict[str, dict] = {}
     for name, head in sorted(graph.heads.items()):
         if head.vid not in documents:
-            try:
-                documents[head.vid] = io.database_to_dict(
-                    head.state, constraints)
-            except SchemaError as exc:
-                raise StoreError(
-                    f"a checkpointed store needs serialisable "
-                    f"constraints: {exc}") from exc
+            documents[head.vid] = io.database_to_dict(head.state, constraints)
         branches[name] = {"version": head.vid,
                           "document": documents[head.vid]}
     return {"type": "checkpoint", "seq": graph.seq, "branches": branches,

@@ -24,7 +24,7 @@ def random_tuple(rng: random.Random, schema: Schema, attrs: frozenset[str]) -> T
     """One random tuple over ``attrs`` drawn from the attribute domains."""
     return Tuple({
         a: rng.choice(sorted(schema.universe.domain(a).values, key=repr))
-        for a in attrs
+        for a in sorted(attrs)
     })
 
 

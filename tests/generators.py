@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.relational import FD, MVD, JoinDependency, Relation
 from repro.relational.algebra import join_all_naive, project_naive
-from repro.store import WalCursor, WriteAheadLog
+from repro.store import ProbeIndex, ValidationPlan, WalCursor, WriteAheadLog
 
 
 def chaos_seeds(count: int, base: int | None = None) -> list[int]:
@@ -335,6 +335,13 @@ def random_patch_txn(rng: random.Random, db) -> list[dict]:
     return ops
 
 
+def fresh_net_changes(txn, state):
+    """``txn``'s net effect against ``state``, its delete cascades read
+    off a :class:`ProbeIndex` built fresh for ``state`` — so an oracle
+    never leans on the engine's incrementally maintained index."""
+    return txn.net_changes(state, ProbeIndex(ValidationPlan(state), state))
+
+
 def audit_oracle(engine, ops) -> tuple:
     """Judge one transaction against the engine's main head with the full
     audit alone: the commit gate's differential oracle.
@@ -348,7 +355,7 @@ def audit_oracle(engine, ops) -> tuple:
 
     txn = engine.begin().apply_records(ops)
     head = engine.state(branch=txn.branch)
-    changes = txn.net_changes(head)
+    changes = fresh_net_changes(txn, head)
     if not changes:
         return "noop", txn, head
     candidate = head.apply_changes(changes.added, changes.removed,

@@ -199,7 +199,6 @@ class TestServeLogReplay:
         assert cli.main(["serve", document, "--txns", "25",
                          "--threads", "1", "--seed", "5", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["mode"] == "delta"
         db, constraints = io.load(document)
         oracle = StoreEngine(db, constraints)
         counts = {"ok": 0, "rejected": 0, "noop": 0}

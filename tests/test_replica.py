@@ -386,7 +386,6 @@ class TestServedBeforeFirstSync:
                 rows, version = client.read_at("manager")
         assert hello["role"] == "replica"
         assert hello["branches"] == engine.graph.branches()
-        assert hello["validation"] == "delta"
         assert row in rows and version == engine.head_version().vid
 
 

@@ -31,6 +31,8 @@ from repro.workloads import (
     serving_state,
 )
 
+from generators import fresh_net_changes
+
 pytestmark = pytest.mark.slow
 
 
@@ -47,7 +49,7 @@ def _assert_serializable(engine, branch="main"):
     for version in versions[1:]:
         txn = Transaction(engine.schema, branch)
         txn.ops = list(version.ops)
-        changes = txn.net_changes(state)
+        changes = fresh_net_changes(txn, state)
         state = state.apply_changes(changes.added, changes.removed)
         assert state == version.state, version.vid
     return state

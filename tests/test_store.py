@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro import io
-from repro.core import check_all, extension
+from repro.core import ConstraintSet, check_all, extension
 from repro.core.employee import employee_constraints, employee_extension
 from repro.errors import (
     CommitRejected,
@@ -39,6 +39,7 @@ from repro.workloads import (
 
 from generators import (
     audit_oracle,
+    fresh_net_changes,
     last_segment,
     random_patch_txn,
     wal_records,
@@ -133,7 +134,7 @@ class TestTransactionBuffering:
                     update = getattr(oracle, op["op"])
                     oracle = update(op["relation"], op["row"],
                                     op["propagate"])
-                changes = txn.net_changes(db)
+                changes = fresh_net_changes(txn, db)
                 derived = db.apply_changes(changes.added, changes.removed)
                 assert derived == oracle
 
@@ -272,7 +273,6 @@ class TestDeltaVsAuditEquivalence:
     def test_random_traffic_agreement(self, seed):
         rng = random.Random(seed)
         engine = _mk_engine(40)
-        assert engine.validation == "delta"
         session = Session(engine)
         for ops in random_txn_specs(rng, engine.state(), 12):
             verdict, _, candidate = audit_oracle(engine, ops)
@@ -304,7 +304,7 @@ class TestDeltaVsAuditEquivalence:
             ops = random_patch_txn(rng, head)
             verdict, txn, candidate = audit_oracle(engine, ops)
             drops_managers = ops[0]["relation"] == "manager" \
-                and len(ops) == 1 and not txn.net_changes(head).added
+                and len(ops) == 1 and not fresh_net_changes(txn, head).added
             try:
                 session.run(ops)
                 outcome = "ok"
@@ -357,12 +357,12 @@ class TestCommitRule:
         rows = manager_stream(60, 2)
         t1 = engine.begin().insert("manager", rows[0])
         t2 = engine.begin().insert("manager", rows[1])
-        c1 = t1.net_changes(engine.state())
-        c2 = t2.net_changes(engine.state())
+        c1 = fresh_net_changes(t1, engine.state())
+        c2 = fresh_net_changes(t2, engine.state())
         f1, f2 = write_footprint(plan, c1), write_footprint(plan, c2)
         assert f1 and f2 and not (f1 & f2)
         same = engine.begin().insert("manager", rows[0])
-        f3 = write_footprint(plan, same.net_changes(engine.state()))
+        f3 = write_footprint(plan, fresh_net_changes(same, engine.state()))
         assert f1 & f3
 
 
@@ -440,15 +440,58 @@ class TestValidationPlan:
         assert schema["worksfor"].attributes in fam["manager"]
         assert schema["person"].attributes in fam["worksfor"]
         assert manager.attributes in fam["manager"]
-        assert plan.incremental_ok
+        # Each of the four kinds a document can carry compiles on its own.
+        records = io.constraints_to_list(ConstraintSet(schema, constraints))
+        assert {r["kind"] for r in records} == \
+            {"subset", "fd", "cardinality", "participation"}
+        for record in records:
+            (c,) = io.constraints_from_list(schema, [record]).constraints
+            plan = ValidationPlan(db, [c])
+            if record["kind"] in ("fd", "cardinality"):
+                assert plan.fds
+                assert {label for label, *_ in plan.fds} == {c.name}
+                for _, context, lhs, _rhs in plan.fds:
+                    assert lhs in plan.probe_family[context]
+            elif record["kind"] == "participation":
+                rel, member = c.relationship, c.member
+                assert plan.participations == [
+                    (c.name, rel.name, member.name, member.attributes)]
+                assert member.attributes in plan.probe_family[rel.name]
+            else:
+                assert (c.special.name, c.general.name,
+                        c.general.attributes) in plan.containment_pairs
 
-    def test_unknown_constraint_kind_degrades_to_audit(self):
+    def test_unprobeable_constraint_is_refused_up_front(self, tmp_path,
+                                                        monkeypatch):
+        """A constraint kind no bounded probe can judge raises the same
+        :class:`StoreError` in memory and WAL-backed, before the root
+        audit and before any WAL file exists."""
         from repro.core import DomainConstraint
 
         schema, db, constraints = serving_state(30)
         custom = DomainConstraint("custom", schema["person"], lambda r: True)
-        engine = StoreEngine(db, constraints + [custom])
-        assert engine.validation == "audit"
+        audited = []
+        monkeypatch.setattr(StoreEngine, "_audit",
+                            lambda self, state: audited.append(state))
+        with pytest.raises(StoreError, match="'custom'") as in_memory:
+            StoreEngine(db, constraints + [custom])
+        wal = tmp_path / "wal"
+        with pytest.raises(StoreError) as backed:
+            StoreEngine(db, constraints + [custom], wal=wal)
+        assert str(backed.value) == str(in_memory.value)
+        assert not wal.exists()
+        assert audited == []
+
+    def test_ill_typed_fd_is_refused(self):
+        """An entity FD whose determinant does not generalise its
+        context cannot be judged per commit: the plan refuses it."""
+        from repro.core import EntityFD, FunctionalConstraint
+
+        schema, db, constraints = serving_state(30)
+        bad = FunctionalConstraint(
+            EntityFD(schema["office"], schema["dept"], schema["person"]))
+        with pytest.raises(StoreError, match="ill-typed"):
+            StoreEngine(db, constraints + [bad])
 
     def test_matches_checkset_granularity(self):
         """The plan's FD probe sets agree with the lhs grouping the

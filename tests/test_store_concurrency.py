@@ -23,7 +23,6 @@ import pytest
 from repro.core import DatabaseExtension
 from repro.errors import CommitRejected
 from repro.store import Session, StoreEngine, Transaction
-from repro.store.txn import findings_from_report
 from repro.workloads import (
     contended_commit_specs,
     disjoint_commit_specs,
@@ -32,7 +31,7 @@ from repro.workloads import (
     serving_state,
 )
 
-from generators import random_database_states, wal_records
+from generators import fresh_net_changes, random_database_states, wal_records
 
 
 class GlobalLockEngine(StoreEngine):
@@ -47,7 +46,8 @@ class GlobalLockEngine(StoreEngine):
         candidate = DatabaseExtension(
             self.schema, {e.name: derived.R(e) for e in self.schema},
             head_state.contributors)
-        return candidate, findings_from_report(self._audit(candidate))
+        return [{"check": "audit", "message": str(f)}
+                for f in self._audit(candidate).findings]
 
 
 def _engine(n, **kwargs):
@@ -98,7 +98,7 @@ def _assert_serializable(engine, branch="main"):
     for version in versions[1:]:
         txn = Transaction(engine.schema, branch)
         txn.ops = list(version.ops)
-        changes = txn.net_changes(state)
+        changes = fresh_net_changes(txn, state)
         state = state.apply_changes(changes.added, changes.removed)
         assert state == version.state, version.vid
     return state

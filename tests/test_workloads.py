@@ -1,6 +1,10 @@
 """Unit tests for the workload generators (repro.workloads)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +118,29 @@ class TestFDWorkloads:
         statements = all_statements(schema)
         # G-set sizes: person 1, employee 2, department 1, manager 3, worksfor 4.
         assert len(statements) == 1 + 4 + 1 + 9 + 16
+
+
+_SPECS_SCRIPT = """
+import json, random
+from repro.workloads import random_txn_specs, serving_state
+_, db, _ = serving_state(30)
+print(json.dumps(random_txn_specs(random.Random(7), db, 40), sort_keys=True))
+"""
+
+
+class TestSessionSpecs:
+    def test_random_txn_specs_ignore_the_hash_seed(self):
+        """The rows drawn for a ``random.Random`` seed are the same in
+        every interpreter, whatever its string hash seed."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src + os.pathsep
+                       + os.environ.get("PYTHONPATH", ""))
+            proc = subprocess.run([sys.executable, "-c", _SPECS_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
