@@ -14,9 +14,11 @@ costs and what the replicas buy:
   persistent connections; ``READS / min_s`` is wire reads/s.  The head
   never moves, so after the first read every read is served from the
   server's encoded-rows cache.
-* ``wire_reads_after_commit`` — the uncached read: one client commits a
+* ``wire_reads_after_commit`` — the patched miss: one client commits a
   ``manager`` row and then reads ``manager``, repeatedly, so every read
-  finds a new relation version and sorts and encodes it afresh.
+  finds a new relation version, and the server patches its cached row
+  texts with the one row the commit added (the first read of a round
+  encodes every row).
 * ``replica_tail`` — a fresh :class:`ReplicaEngine` consuming a
   ~100-commit segmented WAL end-to-end (cursor polls + trusted record
   application); the same follow path ``StoreEngine.replay`` uses, plus

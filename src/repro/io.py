@@ -96,13 +96,19 @@ class JSONText:
         self.text = text
 
 
+# One encoder serves every call: ``json.dumps`` with these options
+# builds a new one per call, which a server encoding row by row pays
+# per row.  ``JSONEncoder.encode`` keeps no state between calls.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=_encode_tuple, check_circular=False)
+
+
 def encode_json(value: Any) -> str:
     """``value`` as the wire's JSON text: sorted keys, no spaces, and
     relational tuples as JSON objects.  No circular-reference
     bookkeeping: it costs a dict insert and delete per container and
     per tuple, and a cyclic value still fails, as RecursionError."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      default=_encode_tuple, check_circular=False)
+    return _ENCODER.encode(value)
 
 
 def _splice(message: dict[str, Any]) -> str:

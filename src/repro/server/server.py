@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from bisect import bisect_left
 from typing import Any
 
 from repro.errors import EpochFenced, ProtocolError, StoreError
@@ -68,6 +69,60 @@ class _Connection:
 
     def __init__(self) -> None:
         self.branch = "main"
+
+
+class _RowTexts:
+    """A relation's rows as JSON text, one string per row.
+
+    ``keys`` holds each row's ``repr`` and ``texts`` its
+    :func:`~repro.io.encode_json` text, both in ``Relation.__iter__``
+    order (sorted by ``repr``); ``text`` is the JSON array of the rows,
+    ``"[" + ",".join(texts) + "]"``, which is ``encode_json(list(rel))``
+    to the byte.  Rows whose ``repr`` ties encode alike, so the order
+    among them does not show in the text.
+    """
+
+    __slots__ = ("relation", "keys", "texts", "text")
+
+    def __init__(self, relation: Relation, keys: list[str],
+                 texts: list[str]):
+        self.relation = relation
+        self.keys = keys
+        self.texts = texts
+        self.text = JSONText("[" + ",".join(texts) + "]")
+
+    def patched(self, rel: Relation) -> "_RowTexts":
+        """``rel``'s row texts, built from these: the rows gone from
+        ``rel`` are dropped and only the rows it adds are encoded, each
+        merged in at its sorted place.  The lists are copied, never
+        changed, and nothing is built if an encode fails."""
+        keys, texts = self.keys, self.texts
+        # (key, 0, "") drops a row and (key, 1, text) adds one; sorted,
+        # a drop comes before an add of the same key.
+        changes = sorted(
+            [(repr(t), 0, "") for t in self.relation.tuples - rel.tuples]
+            + [(repr(t), 1, encode_json(t))
+               for t in rel.tuples - self.relation.tuples])
+        new_keys: list[str] = []
+        new_texts: list[str] = []
+        start = 0
+        for key, add, text in changes:
+            i = bisect_left(keys, key, start)
+            new_keys += keys[start:i]
+            new_texts += texts[start:i]
+            if add:
+                new_keys.append(key)
+                new_texts.append(text)
+                start = i
+            else:
+                start = i + 1  # keys[i] is the row dropped
+        new_keys += keys[start:]
+        new_texts += texts[start:]
+        return _RowTexts(rel, new_keys, new_texts)
+
+
+# The entry of a relation not read yet: a first read patches it.
+_NO_ROWS = _RowTexts(Relation(()), [], [])
 
 
 class StoreServer:
@@ -144,9 +199,9 @@ class StoreServer:
         self._startup_error: BaseException | None = None
         self._commit_slots: asyncio.Semaphore | None = None
         self._sync_task: asyncio.Task | None = None
-        # relation name -> (the Relation last read, its rows as JSON
-        # text); see _op_read.
-        self._read_cache: dict[str, tuple[Relation, JSONText]] = {}
+        # relation name -> the _RowTexts of the Relation last read under
+        # that name; see _op_read.
+        self._read_cache: dict[str, _RowTexts] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None \
             else Tracer(clock=self.metrics.clock)
@@ -498,19 +553,18 @@ class StoreServer:
                                     parent=parent, branch=version.branch)
 
     async def _op_read(self, conn, rid, message) -> dict:
-        """One relation's rows at a version, encoded once per relation
-        version.
+        """One relation's rows at a version, encoded in O(|delta|).
 
-        Relations are immutable values, so the sorted rows' JSON text
-        (a :class:`~repro.io.JSONText`, spliced verbatim by
-        ``encode_frame``) is kept per relation name and served again
-        while the version read holds that very ``Relation`` object
-        (``is``, not ``==``).  A commit that changes the relation,
-        another branch, an ``at=`` read or a replica resync hands over a
-        different object, which re-encodes and replaces the entry, so
-        the cache never serves a stale version and holds at most one
-        entry per relation of the schema.  Only the event-loop thread runs this, so it takes no
-        lock.
+        The cache keeps, per relation name, the :class:`_RowTexts` of
+        the ``Relation`` last read under it.  A read of that very object
+        (``is``) splices its JSON text (a :class:`~repro.io.JSONText`,
+        written verbatim by ``encode_frame``) into the response.  Any
+        other ``Relation`` -- a commit, another branch, an ``at=`` read,
+        a replica resync -- is patched from the kept entry by set
+        difference, so only the rows it gained are encoded, and the
+        frame is byte-identical to one encoding ``list(rel)``.  The
+        cache holds at most one entry per relation name.  Only the
+        event-loop thread runs this, so it takes no lock.
         """
         relation = message.get("relation")
         if not isinstance(relation, str):
@@ -523,13 +577,11 @@ class StoreServer:
         version = store.graph.get(at) if at is not None \
             else store.head_version(branch)
         rel = version.state.R(relation)
-        entry = self._read_cache.get(relation)
-        if entry is None or entry[0] is not rel:
-            # encode_json writes each tuple as a JSON object, so the
-            # encode never holds a dict per row.
-            entry = (rel, JSONText(encode_json(list(rel))))
+        entry = self._read_cache.get(relation, _NO_ROWS)
+        if entry.relation is not rel:
+            entry = entry.patched(rel)
             self._read_cache[relation] = entry
-        return protocol.ok_response(rid, relation=relation, rows=entry[1],
+        return protocol.ok_response(rid, relation=relation, rows=entry.text,
                                     version=version.vid)
 
     async def _op_branch(self, conn, rid, message) -> dict:

@@ -210,6 +210,18 @@ class TestServeLogReplay:
         assert (data["committed"], data["rejected"], data["noop"]) == \
             (counts["ok"], counts["rejected"], counts["noop"])
 
+    def test_serve_refuses_a_broken_root_before_opening_the_wal(
+            self, broken_document, tmp_path):
+        """A document whose root fails the audit is refused before any
+        WAL I/O: no directory and no empty first segment are left."""
+        from repro.errors import StoreError
+
+        wal = tmp_path / "wal"
+        with pytest.raises(StoreError, match="root state is inconsistent"):
+            cli.main(["serve", broken_document, "--wal", str(wal),
+                      "--segment-records", "4"])
+        assert not wal.exists()
+
     def test_serve_mode_flag_is_gone(self, document, capsys):
         with pytest.raises(SystemExit):
             cli.main(["serve", document, "--mode", "audit"])

@@ -37,7 +37,7 @@ from repro.io import (
     encode_frame,
     encode_json,
 )
-from repro.relational import Relation
+from repro.relational import Relation, Tuple
 from repro.server import ReplicaEngine, StoreClient, StoreServer
 from repro.server.protocol import (
     error_payload,
@@ -45,10 +45,14 @@ from repro.server.protocol import (
     raise_for_error,
     validate_request,
 )
-from repro.store import StoreEngine
-from repro.workloads.sessions import manager_stream, serving_state
+from repro.store import StoreEngine, WriteAheadLog
+from repro.workloads.sessions import manager_stream, op_record, serving_state
 
-from generators import random_frame_message, random_json_value
+from generators import (
+    random_frame_message,
+    random_json_value,
+    random_patch_txn,
+)
 
 SEEDS = range(40)
 MESSAGES_PER_SEED = 5  # 40 x 5 = 200 seeded round-trip cases
@@ -392,9 +396,55 @@ def _read_frame_bytes(sock: socket.socket, rid, **fields) -> bytes:
     return header + _recv_exactly(sock, length)
 
 
+def _assert_read_is_plain(sock: socket.socket, store: StoreEngine, rid,
+                          relation: str, **where) -> None:
+    """A read's frame equals ``encode_frame`` of the version's plain
+    rows, byte for byte; ``where`` picks the version (``branch`` or
+    ``at``) as in the request."""
+    got = _read_frame_bytes(sock, rid, relation=relation, **where)
+    version = store.graph.get(where["at"]) if "at" in where \
+        else store.head_version(where.get("branch", "main"))
+    assert got == encode_frame(ok_response(
+        rid, relation=relation, rows=list(version.state.R(relation)),
+        version=version.vid)), (rid, relation, where)
+
+
+def _random_ops(rng: random.Random, state, fresh: list[dict]) -> list[dict]:
+    """One seeded transaction over ``state``: a single-row insert or
+    delete of a ``manager`` row, a propagating delete of a ``person``
+    (which takes its ``worksfor`` and ``manager`` rows along), a
+    ``replace``, or two to four single-row ops in one transaction."""
+
+    def one() -> dict:
+        managers = sorted(state.R("manager").tuples, key=repr)
+        kind = rng.randrange(4)
+        if kind < 2 or not managers:
+            return op_record("insert", "manager", rng.choice(fresh))
+        if kind == 2:
+            return op_record("delete", "manager",
+                             rng.choice(managers).as_dict())
+        person = rng.choice(sorted(state.R("person").tuples, key=repr))
+        return op_record("delete", "person", person.as_dict())
+
+    draw = rng.random()
+    if draw < 0.2:
+        return random_patch_txn(rng, state)
+    if draw < 0.4:
+        return [one() for _ in range(rng.randint(2, 4))]
+    return [one()]
+
+
+def _commit(engine: StoreEngine, branch: str, ops: list[dict]) -> None:
+    try:
+        engine.commit(engine.begin(branch).apply_records(ops))
+    except CommitRejected:
+        pass  # rejected traffic leaves the head as it was
+
+
 class TestReadCache:
-    """The server encodes each relation version's rows once and splices
-    the text into every later read of the same ``Relation`` object."""
+    """The server keeps each relation's rows as per-row JSON texts and
+    patches them by the rows a new relation version adds and drops;
+    every frame equals the plain encoding of the version's rows."""
 
     @pytest.fixture()
     def engine(self):
@@ -451,24 +501,108 @@ class TestReadCache:
         assert row in dev_rows and row not in main_rows
         assert len(dev_rows) == len(main_rows) + 1
 
-    def test_unchanged_head_is_not_re_sorted(self, served, monkeypatch):
-        """A second read of an unchanged head is served from the cache:
-        it does not iterate (sort) the relation again."""
-        calls = []
-        iterate = Relation.__iter__
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """The relations iterated (sorted) and the rows encoded from
+        here on: ``Relation.__iter__`` and ``Tuple.as_dict`` calls."""
+        calls: dict[str, list] = {"iterated": [], "encoded": []}
+        iterate, as_dict = Relation.__iter__, Tuple.as_dict
 
-        def counting(rel):
-            calls.append(rel)
+        def counting_iter(rel):
+            calls["iterated"].append(rel)
             return iterate(rel)
 
-        monkeypatch.setattr(Relation, "__iter__", counting)
+        def counting_as_dict(t):
+            calls["encoded"].append(t)
+            return as_dict(t)
+
+        monkeypatch.setattr(Relation, "__iter__", counting_iter)
+        monkeypatch.setattr(Tuple, "as_dict", counting_as_dict)
+        return calls
+
+    def test_unchanged_head_is_not_re_sorted(self, served, counted):
+        """A second read of an unchanged head is served from the cache:
+        it neither sorts the relation nor encodes a row again (and the
+        first read, a patch from no rows, encodes without sorting)."""
         with StoreClient(*served.address) as c:
             first = c.read("manager")
-            after_first = len(calls)
+            encoded = len(counted["encoded"])
             second = c.read("manager")
-        assert after_first >= 1
-        assert len(calls) == after_first
+        assert encoded == len(first) >= 1
+        assert len(counted["encoded"]) == encoded
+        assert counted["iterated"] == []
         assert second == first
+
+    def test_one_row_commit_costs_one_row(self, served, counted):
+        """A read after a one-row commit neither sorts the relation nor
+        encodes more than the row the commit added."""
+        row = manager_stream(12, 1)[0]
+        with StoreClient(*served.address) as c:
+            before = c.read("manager")
+            c.run([op_record("insert", "manager", row)])
+            counted["iterated"].clear()
+            counted["encoded"].clear()
+            after = c.read("manager")
+        assert counted["iterated"] == []
+        assert [dict(t) for t in counted["encoded"]] == [row]
+        assert {frozenset(r.items()) for r in after} == \
+            {frozenset(r.items()) for r in before + [row]}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_patched_frames_equal_plain_frames(self, seed):
+        """Seeded traffic on two branches: after every commit, reads
+        alternating between the branches, and an ``at=`` read of an
+        older version, each return the frame of the plain rows."""
+        rng = random.Random(seed)
+        schema, db, constraints = serving_state(30)
+        engine = StoreEngine(db, constraints)
+        engine.branch("dev")
+        fresh = manager_stream(30, 20)
+        relations = ("manager", "worksfor", "person")
+        with StoreServer(engine) as srv, \
+                socket.create_connection(srv.address, timeout=10) as sock:
+            for step in range(40):
+                branch = ("main", "dev")[step % 2]
+                _commit(engine, branch,
+                        _random_ops(rng, engine.state(branch=branch), fresh))
+                for where in ({"branch": "main"}, {"branch": "dev"},
+                              {"branch": "main"}):
+                    for relation in ("manager", rng.choice(relations)):
+                        _assert_read_is_plain(sock, engine, step, relation,
+                                              **where)
+                old = rng.choice(list(engine.graph.log())).vid
+                _assert_read_is_plain(sock, engine, step, "manager", at=old)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_replica_frames_survive_catch_up_and_resync(self, seed,
+                                                        tmp_path):
+        """A replica server's frames equal the plain rows of its head
+        after each catch-up, and after a resync, which rebuilds every
+        row as an equal but distinct object."""
+        rng = random.Random(100 + seed)
+        schema, db, constraints = serving_state(30)
+        wal_dir = tmp_path / "wal"
+        engine = StoreEngine(db, constraints,
+                             wal=WriteAheadLog(wal_dir, segment_records=4),
+                             checkpoint_every=5)
+        fresh = manager_stream(30, 20)
+        replica = ReplicaEngine(wal_dir, from_checkpoint=False)
+        with StoreServer(replica, sync_interval=0) as srv, \
+                socket.create_connection(srv.address, timeout=10) as sock:
+            for step in range(30):
+                _commit(engine, "main",
+                        _random_ops(rng, engine.state(), fresh))
+                if step % 4 == 3:
+                    replica.resync()
+                else:
+                    replica.catch_up()
+                assert replica.head_version().vid == \
+                    engine.head_version().vid
+                for relation in ("manager", "worksfor"):
+                    _assert_read_is_plain(sock, replica.engine, step,
+                                          relation)
+        replica.close()
+        engine.close()
 
 
 class TestReplicaServer:
