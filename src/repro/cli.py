@@ -175,14 +175,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from repro.errors import CommitRejected
-    from repro.store import Session, StoreEngine
+    from repro.store import Session, StoreEngine, WriteAheadLog
     from repro.workloads import random_txn_specs
 
+    wal = None
+    if args.wal is not None:
+        wal = WriteAheadLog(args.wal, segment_records=args.segment_records)
     db, constraints = io.load(args.document)
-    # The engine opens the WAL only after the root passes its audit, so
-    # a refused document leaves no segment behind.
-    engine = StoreEngine(db, constraints, wal=args.wal,
-                         segment_records=args.segment_records,
+    engine = StoreEngine(db, constraints, wal=wal,
                          checkpoint_every=args.checkpoint_every)
     if args.listen is not None:
         from repro.server import StoreServer

@@ -23,6 +23,9 @@ Value = Hashable
 
 _CONTAINER_TYPES = (tuple, list, set, frozenset, dict)
 
+# What AtomicValueSet.admits finds for a value equal to no member.
+_ABSENT = object()
+
 
 def is_atomic_value(value: object) -> bool:
     """Whether ``value`` is acceptable as an atomic (non-decomposable) value.
@@ -47,7 +50,7 @@ class AtomicValueSet:
         member of a finite set".
     """
 
-    __slots__ = ("name", "values")
+    __slots__ = ("name", "values", "_members")
 
     def __init__(self, name: str, values: Iterable[Value]):
         if not isinstance(name, str) or not name:
@@ -69,9 +72,20 @@ class AtomicValueSet:
             raise SchemaError(f"atomic value set {name!r} is empty")
         self.name = name
         self.values = values
+        self._members = {v: v for v in values}
 
     def __contains__(self, value: object) -> bool:
         return value in self.values
+
+    def admits(self, value: object) -> bool:
+        """Whether ``value`` is a member as stored, not only equal to
+        one.  ``True`` and ``1.0`` equal the member ``1``, and ``-0.0``
+        equals ``0.0``, yet each prints and encodes otherwise; a row
+        holding one would be equal to, but not the same as, the row
+        holding the member."""
+        member = self._members.get(value, _ABSENT)
+        return type(member) is type(value) and (
+            type(value) is not float or repr(member) == repr(value))
 
     def __len__(self) -> int:
         return len(self.values)

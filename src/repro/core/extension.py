@@ -725,12 +725,15 @@ class DatabaseExtension:
 
 
 def check_domains(universe, relation: str, t: Tuple) -> None:
-    """Raise :class:`ExtensionError` unless every value of ``t`` lies in
-    its attribute's atomic value set — one pass over the tuple's items
-    (the caller has already checked ``t``'s shape against ``A_e``)."""
+    """Raise :class:`ExtensionError` unless every value of ``t`` is a
+    member of its attribute's atomic value set as stored (see
+    :meth:`~repro.core.attributes.AtomicValueSet.admits`: ``True`` is
+    not the member ``1``) — one pass over the tuple's items (the caller
+    has already checked ``t``'s shape against ``A_e``).  So equal rows
+    are the same values, and encode alike."""
     for a, value in t:
         domain = universe.domain(a)
-        if value not in domain.values:
+        if not domain.admits(value):
             raise ExtensionError(
                 f"value {value!r} for attribute {a!r} of {relation!r} is "
                 f"outside its atomic value set {domain.name!r}")

@@ -226,7 +226,7 @@ class FaultyWal:
         if cut is None:
             cut = self.plan.randrange(max(1, len(line) - 1))
         cut = max(0, min(int(cut), len(line) - 1))
-        fh = self.wal._fh
+        fh = self.wal._open()
         fh.write(line[:cut])
         fh.flush()
         if durable:

@@ -80,6 +80,11 @@ class _RowTexts:
     ``"[" + ",".join(texts) + "]"``, which is ``encode_json(list(rel))``
     to the byte.  Rows whose ``repr`` ties encode alike, so the order
     among them does not show in the text.
+
+    A patch matches rows by equality, which is sound because equal rows
+    hold the same values: the domain check admits a value only as the
+    member it equals (``True`` or ``1.0`` is refused where the domain
+    holds ``1``), so a row kept across versions encodes as it did.
     """
 
     __slots__ = ("relation", "keys", "texts", "text")

@@ -151,9 +151,7 @@ class StoreEngine:
         Optional segment-directory path or :class:`WriteAheadLog`; when
         given, the root snapshot and every commit/branch/checkpoint are
         logged durably.  Each checkpoint heads a fresh segment, and
-        :meth:`WriteAheadLog.prune` drops the segments before it.  A
-        path is opened only once the root has passed its audit, with
-        ``sync`` and ``segment_records`` (see :class:`WriteAheadLog`).
+        :meth:`WriteAheadLog.prune` drops the segments before it.
     checkpoint_every:
         When set, a checkpoint record is written automatically after
         every N commits (WAL-backed engines only) — the knob that keeps
@@ -165,7 +163,6 @@ class StoreEngine:
                  branch: str = "main",
                  wal: WriteAheadLog | str | Path | None = None,
                  sync: bool = False,
-                 segment_records: int | None = None,
                  audit_root: bool = True,
                  checkpoint_every: int | None = None,
                  _floor: tuple | None = None):
@@ -211,8 +208,7 @@ class StoreEngine:
                     "would append a second snapshot and corrupt it — "
                     "replay it (StoreEngine.replay) or pick a new path")
             if not isinstance(wal, WriteAheadLog):
-                wal = WriteAheadLog(target, sync=sync,
-                                    segment_records=segment_records)
+                wal = WriteAheadLog(target, sync=sync)
             wal.append(snapshot_record(root, self._constraint_set,
                                        self.graph.root.vid, branch))
         self.wal = wal

@@ -104,7 +104,8 @@ class WriteAheadLog:
     Appends are serialised by the engine's commit lock, which is what
     makes the log a total order of the graph's growth.
 
-    ``path`` is the directory (created when missing); records append to
+    ``path`` is the directory (created by the first write, so a log
+    nothing was written to leaves nothing on disk); records append to
     its highest-numbered ``wal.NNNNNN.jsonl`` segment, and a new segment
     starts whenever the current one holds ``segment_records`` records —
     or whenever the engine writes a checkpoint (:meth:`rotate`) or a
@@ -126,19 +127,29 @@ class WriteAheadLog:
         # as its own phase.
         self.probe = None
         segments = self.segment_paths(path)
-        path.mkdir(parents=True, exist_ok=True)
         self._segment_index = (
             int(_SEGMENT_RE.match(segments[-1].name).group(1))
             if segments else 1)
-        self._open_segment(path / (SEGMENT_PATTERN % self._segment_index))
+        # The current segment's handle and record count, set by _open.
+        self._fh = None
+        self._count = 0
+        self._closed = False
         self.epoch = self.current_epoch(path)
 
-    def _open_segment(self, file_path: Path) -> None:
-        """Open ``file_path`` for appending, priming the rotation
+    def _open(self):
+        """The current segment's handle, opened (and the directory
+        created) by the first write."""
+        if self._fh is None:
+            self.path.mkdir(parents=True, exist_ok=True)
+            self._open_segment()
+        return self._fh
+
+    def _open_segment(self) -> None:
+        """Open the current segment for appending, priming the rotation
         counter from whatever it already holds; a newly created file
         fsyncs its parent directory (creation durability)."""
+        file_path = self.current_segment
         created = not file_path.exists()
-        self._file = file_path
         self._fh = open(file_path, "a", encoding="utf-8")
         if created:
             _fsync_dir(file_path.parent)
@@ -150,10 +161,10 @@ class WriteAheadLog:
     @property
     def current_segment(self) -> Path:
         """The segment appends currently land in."""
-        return self._file
+        return self.path / (SEGMENT_PATTERN % self._segment_index)
 
     def append(self, record: dict) -> None:
-        if self._fh.closed:
+        if self._closed:
             raise StoreError(
                 f"WAL {self.path} is closed; cannot append "
                 f"{record.get('type', 'a')!r} record")
@@ -163,6 +174,7 @@ class WriteAheadLog:
         except (TypeError, ValueError) as exc:
             raise StoreError(f"WAL record is not JSON-codable: {exc}") from exc
         data = line + "\n"
+        self._open()
         if (self.segment_records is not None
                 and self._count >= self.segment_records):
             self.rotate()
@@ -196,18 +208,19 @@ class WriteAheadLog:
         the new segment survives power loss.  A no-op on a still-empty
         current segment.
         """
-        if self._fh.closed:
+        if self._closed:
             raise StoreError(f"WAL {self.path} is closed; cannot rotate")
+        self._open()
         if self._count == 0:
-            return self._file
+            return self.current_segment
         self._check_fence()
         self._fh.flush()
         if self.sync:
             os.fsync(self._fh.fileno())
         self._fh.close()
         self._segment_index += 1
-        self._open_segment(self.path / (SEGMENT_PATTERN % self._segment_index))
-        return self._file
+        self._open_segment()
+        return self.current_segment
 
     # ------------------------------------------------------------------
     # epochs and fencing (the failover write-exclusion mechanism)
@@ -228,8 +241,8 @@ class WriteAheadLog:
         current = max(self.current_epoch(self.path), self.epoch + 1)
         raise EpochFenced(
             f"WAL {self.path} was taken over (epoch {current} stamped "
-            f"past segment {self._file.name}); this handle holds epoch "
-            f"{self.epoch} and may no longer append",
+            f"past segment {self.current_segment.name}); this handle "
+            f"holds epoch {self.epoch} and may no longer append",
             held=self.epoch, current=current)
 
     def stamp_epoch(self, seq: int | None = None,
@@ -271,7 +284,8 @@ class WriteAheadLog:
         return 0
 
     def close(self) -> None:
-        if not self._fh.closed:
+        self._closed = True
+        if self._fh is not None and not self._fh.closed:
             self._fh.close()
 
     def __enter__(self) -> "WriteAheadLog":

@@ -43,6 +43,16 @@ class TestAtomicValueSet:
         assert AtomicValueSet("x", [1, 2]) == AtomicValueSet("x", [2, 1])
         assert AtomicValueSet("x", [1]) != AtomicValueSet("y", [1])
 
+    def test_admits_only_members_as_stored(self):
+        """A value equal to a member but of another kind (``True`` or
+        ``1.0`` for ``1``, ``-0.0`` for ``0.0``) prints otherwise, so it
+        is not admitted."""
+        values = AtomicValueSet("x", [1, 0.0, 2.5, "a", None])
+        for v in (1, 0.0, 2.5, "a", None):
+            assert values.admits(v)
+        for v in (True, 1.0, -0.0, False, 0, 2, "b"):
+            assert not values.admits(v)
+
 
 class TestAttribute:
     def test_construction(self):

@@ -548,6 +548,33 @@ class TestReadCache:
         assert {frozenset(r.items()) for r in after} == \
             {frozenset(r.items()) for r in before + [row]}
 
+    @pytest.mark.parametrize("kind", [False, 0.0])
+    def test_equal_row_of_another_kind_is_refused(self, engine, served,
+                                                   kind):
+        """The patch matches rows by equality, so a row must not equal
+        another that encodes otherwise: re-inserting a deleted manager
+        with role ``false`` or ``0.0`` for ``0`` is refused, and so is a
+        delete so written.  Every frame on the way equals the plain
+        one."""
+        victim = next(t for t in sorted(engine.state().R("manager").tuples,
+                                        key=repr) if t["role"] == 0)
+        row = victim.as_dict()
+        other = {**row, "role": kind}
+        with StoreClient(*served.address) as c, \
+                socket.create_connection(served.address, timeout=10) as sock:
+            _assert_read_is_plain(sock, engine, 0, "manager")
+            for rid, (op, record) in enumerate(
+                    (("delete", row), ("insert", other), ("insert", row),
+                     ("delete", other), ("delete", row)), start=1):
+                if record is other:
+                    with pytest.raises(ExtensionError,
+                                       match="outside its atomic value"):
+                        c.run([op_record(op, "manager", record)])
+                else:
+                    c.run([op_record(op, "manager", record)])
+                _assert_read_is_plain(sock, engine, rid, "manager")
+        assert victim not in engine.state().R("manager").tuples
+
     @pytest.mark.parametrize("seed", range(3))
     def test_patched_frames_equal_plain_frames(self, seed):
         """Seeded traffic on two branches: after every commit, reads

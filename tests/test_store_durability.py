@@ -23,6 +23,7 @@ import weakref
 
 import pytest
 
+from repro.core.employee import employee_constraints, employee_extension
 from repro.errors import StoreError, TornTailWarning
 from repro.store import (
     Session,
@@ -194,9 +195,9 @@ class TestWalLifecycle:
 
         monkeypatch.setattr(walmod.os, "fsync", spy)
         wal = WriteAheadLog(tmp_path / "seg", segment_records=2)
+        wal.append({"type": "noop"})
         assert synced, "creating a segment must fsync its directory"
         created = len(synced)
-        wal.append({"type": "noop"})
         wal.append({"type": "noop"})
         wal.append({"type": "noop"})  # third append rotates
         assert len(WriteAheadLog.segment_paths(tmp_path / "seg")) == 2
@@ -210,8 +211,29 @@ class TestWalLifecycle:
         synced = []
         monkeypatch.setattr(walmod.os, "fsync",
                             lambda fd: synced.append(fd))
-        WriteAheadLog(tmp_path / "w.jsonl").close()
+        wal = WriteAheadLog(tmp_path / "w.jsonl")
+        wal.append({"type": "noop"})
+        wal.close()
         assert synced
+
+    def test_unwritten_log_leaves_nothing_on_disk(self, tmp_path):
+        """The directory and first segment come with the first write:
+        a log opened and closed unwritten, or one whose engine refuses
+        its root, leaves no trace (and a later engine may use it)."""
+        WriteAheadLog(tmp_path / "seg", segment_records=4).close()
+        assert not (tmp_path / "seg").exists()
+        db = employee_extension()
+        constraints = employee_constraints(db.schema)
+        broken = db.insert("manager", {
+            "name": "eva", "age": 47, "depname": "admin", "budget": 100,
+        }, propagate=False)
+        with pytest.raises(StoreError, match="root state is inconsistent"):
+            StoreEngine(broken, constraints,
+                        wal=WriteAheadLog(tmp_path / "seg"))
+        assert not (tmp_path / "seg").exists()
+        StoreEngine(db, constraints,
+                    wal=WriteAheadLog(tmp_path / "seg")).close()
+        assert len(wal_records(tmp_path / "seg")) == 1
 
     def test_rotation_bounds(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "seg", segment_records=2)
