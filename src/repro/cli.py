@@ -355,7 +355,7 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 
     monitor = HealthMonitor(probe_interval=args.interval,
                             suspect_after=args.suspect_after,
-                            dead_after=args.dead_after, seed=args.seed)
+                            dead_after=args.dead_after)
     monitor.add_peer(args.primary_id,
                      wire_probe(_parse_listen(args.primary),
                                 timeout=args.probe_timeout))
@@ -856,9 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_supervise.add_argument("--timeout", type=float, default=5.0,
                              help="catch-up/promotion budget in "
                                   "seconds (default 5)")
-    p_supervise.add_argument("--seed", type=int, default=0,
-                             help="seeds the monitor's probe jitter "
-                                  "(default 0)")
     p_supervise.add_argument("--max-ticks", type=int, default=None,
                              metavar="N",
                              help="stop after N supervision steps "

@@ -255,11 +255,10 @@ class WalProbe:
 
     __slots__ = ("clock", "appends", "bytes", "fsyncs", "last_fsync")
 
-    def __init__(self, registry: MetricsRegistry,
-                 prefix: str = "store.wal"):
+    def __init__(self, registry: MetricsRegistry):
         self.clock = registry.clock
-        self.appends = registry.counter(f"{prefix}.appends")
-        self.bytes = registry.counter(f"{prefix}.appended_bytes")
+        self.appends = registry.counter("store.wal.appends")
+        self.bytes = registry.counter("store.wal.appended_bytes")
         self.fsyncs = registry.histogram("store.commit.fsync_seconds")
         self.last_fsync = 0.0
 

@@ -34,7 +34,10 @@ import time
 from collections import deque
 from typing import Callable
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "TRACE_RING"]
+
+#: How many recent root traces a :class:`Tracer` keeps.
+TRACE_RING = 256
 
 
 class Span:
@@ -96,11 +99,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, capacity: int = 256,
-                 clock: Callable[[], float] = time.perf_counter):
-        self.capacity = capacity
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.clock = clock
-        self._ring: deque[dict] = deque(maxlen=capacity)
+        self._ring: deque[dict] = deque(maxlen=TRACE_RING)
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -132,13 +133,10 @@ class Tracer:
             items = list(self._ring)
         return items if n is None else items[len(items) - min(n, len(items)):]
 
-    def slowest(self, n: int = 5, prefix: str = "") -> list[dict]:
-        """The ``n`` longest recent traces (optionally filtered by name
-        prefix), slowest first."""
+    def slowest(self, n: int = 5) -> list[dict]:
+        """The ``n`` longest recent traces, slowest first."""
         with self._lock:
             items = list(self._ring)
-        if prefix:
-            items = [t for t in items if t["name"].startswith(prefix)]
         items.sort(key=lambda t: -t["duration"])
         return items[:n]
 
@@ -174,7 +172,6 @@ class NullTracer:
     """Tracer-shaped nothing: the zero-cost disabled path."""
 
     enabled = False
-    capacity = 0
     _span = _NullSpan()
 
     def span(self, name: str, **tags) -> _NullSpan:
@@ -189,7 +186,7 @@ class NullTracer:
     def recent(self, n: int | None = None) -> list[dict]:
         return []
 
-    def slowest(self, n: int = 5, prefix: str = "") -> list[dict]:
+    def slowest(self, n: int = 5) -> list[dict]:
         return []
 
     def clear(self) -> None:

@@ -6,7 +6,7 @@ PR 8 made promotion *safe* — epoch fencing, the race-guarded
 operator still had to notice the primary died and run it.  This module
 closes the loop with two cooperating pieces:
 
-* :class:`HealthMonitor` — a seeded, clock-injected failure detector.
+* :class:`HealthMonitor` — a clock-injected failure detector.
   Heartbeat probes ride the existing ``hello``/``status`` ops (or call
   a local engine directly); consecutive misses walk a peer through
   *alive → suspect → dead* suspicion levels, so one dropped frame never
@@ -37,7 +37,6 @@ caught up" is well defined without any vote exchange.
 from __future__ import annotations
 
 import time
-from random import Random
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import EpochFenced, StoreError
@@ -121,11 +120,6 @@ class HealthMonitor:
         ``dead``.  ``suspect_after`` must be at least 2 — one dropped
         frame never even raises suspicion, let alone an election — and
         ``dead_after`` must be strictly larger.
-    seed, jitter:
-        With ``jitter > 0`` each probe's next due time is stretched by
-        a seeded uniform draw in ``[0, jitter]`` of the interval, so a
-        fleet of monitors does not synchronise its probe bursts.  The
-        draw comes from a private ``Random(seed)`` — deterministic.
 
     :meth:`tick` runs every due probe once and returns the state
     *transitions* it caused; the full event history accumulates in
@@ -136,8 +130,7 @@ class HealthMonitor:
 
     def __init__(self, clock: Callable[[], float] = time.monotonic,
                  probe_interval: float = 0.05, suspect_after: int = 2,
-                 dead_after: int = 4, seed: int = 0,
-                 jitter: float = 0.0):
+                 dead_after: int = 4):
         if suspect_after < 2:
             raise StoreError(
                 f"suspect_after must be >= 2 so a single dropped probe "
@@ -151,8 +144,6 @@ class HealthMonitor:
         self.probe_interval = probe_interval
         self.suspect_after = suspect_after
         self.dead_after = dead_after
-        self.jitter = jitter
-        self._rng = Random(seed)
         self._peers: dict[str, _Peer] = {}
         self.events: list[dict] = []
         self.metrics: MetricsRegistry | None = None
@@ -225,10 +216,7 @@ class HealthMonitor:
             peer.last_status = dict(status)
             peer.last_error = None
             peer.last_ok_at = now
-        stretch = 1.0
-        if self.jitter > 0.0:
-            stretch += self._rng.uniform(0.0, self.jitter)
-        peer.next_due = now + self.probe_interval * stretch
+        peer.next_due = now + self.probe_interval
         if peer.state != previous:
             event = {"peer": peer.peer_id, "from": previous,
                      "to": peer.state, "misses": peer.misses, "at": now}
@@ -334,19 +322,16 @@ class Coordinator:
 
     def __init__(self, replica_id: str, replica: ReplicaEngine,
                  monitor: HealthMonitor, primary_id: str = "primary",
-                 promote_timeout: float = 5.0, sync: bool = False,
+                 promote_timeout: float = 5.0,
                  segment_records: int | None = None,
-                 sync_on_step: bool = True,
-                 on_promoted: Callable[[Any], None] | None = None):
+                 sync_on_step: bool = True):
         self.replica_id = str(replica_id)
         self.replica = replica
         self.monitor = monitor
         self.primary_id = str(primary_id)
         self.promote_timeout = promote_timeout
-        self.sync = sync
         self.segment_records = segment_records
         self.sync_on_step = sync_on_step
-        self.on_promoted = on_promoted
         self.role = "follower"
         self.engine = None  # the promoted StoreEngine once primary
         self.elections = 0
@@ -481,7 +466,6 @@ class Coordinator:
             return repin
         try:
             engine = promote(self.replica, timeout=self.promote_timeout,
-                             sync=self.sync,
                              segment_records=self.segment_records)
         except EpochFenced as exc:
             # Raced and lost: the stamp that beat ours is the truth;
@@ -495,8 +479,6 @@ class Coordinator:
         self.role = "primary"
         self.engine = engine
         self._baseline_epoch = engine.epoch
-        if self.on_promoted is not None:
-            self.on_promoted(engine)
         return self._event("promoted", epoch=engine.epoch,
                            candidates={cid: list(rank) for cid, rank
                                        in candidates.items()})

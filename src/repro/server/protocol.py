@@ -57,9 +57,8 @@ message is one JSON object.  Requests carry a client-chosen ``id``
 
 The status schema
 -----------------
-``status`` responses historically invented their key shapes per role;
-the schema is now fixed (additively — every pre-existing key kept its
-name and meaning, consumers like ``election_rank`` still work):
+Every ``status`` response follows one schema (consumers like
+``election_rank`` read its replica extras):
 
 * Core, always present: ``role`` (``"primary"``/``"replica"``),
   ``epoch`` (int, the promotion epoch), ``ready`` (bool — a primary is
@@ -68,10 +67,10 @@ name and meaning, consumers like ``election_rank`` still work):
   registry counters/gauges — the uniform home of what used to be
   ad-hoc attributes).
 * When ready: ``seq``, ``versions``, ``branches``.
-* Primary extras: ``connections``, ``max_connections``,
-  ``inflight_commits``, ``max_inflight_commits``, ``commits``,
-  ``frames_served``, ``bad_frames``, ``rejected_overloaded``,
-  ``idle_closed``.
+* Primary extras: ``max_connections``.  The primary's counts
+  (``server.connections``, ``server.commits``, ``server.frames_served``,
+  ``server.bad_frames``, ``server.rejected_overloaded``,
+  ``server.idle_closed``) live only in ``counters``.
 * Replica extras: ``wal``, ``position`` (``[segment, offset]``),
   ``behind_bytes``, ``applied_records``, ``promoted``, ``verify``,
   ``seconds_since_sync``.

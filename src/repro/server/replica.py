@@ -302,14 +302,6 @@ class ReplicaEngine:
             status["versions"] = len(engine.graph)
         return status
 
-    def lag(self) -> dict:
-        """The short form of :meth:`status` for monitoring loops."""
-        return {
-            "behind_bytes": self.behind_bytes(),
-            "current": self.behind_bytes() == 0,
-            "applied_records": self._applied_records,
-        }
-
     def close(self) -> None:
         """Replicas hold no file handles between polls; closing only
         drops the engine reference."""

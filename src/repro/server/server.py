@@ -27,9 +27,11 @@ Robustness posture:
 * The connection pool is bounded: over-capacity connections receive one
   ``overloaded`` error frame and are closed before any connection state is
   allocated.
-* Commits run on executor threads behind a bounded semaphore — when the
-  commit queue is at depth, further writers *wait* (backpressure)
-  rather than stacking unbounded blocking work.
+* Commits and branch creations run on the event loop's default
+  executor, so the loop keeps answering other connections while the
+  engine works.  A connection dispatches its frames one at a time, so
+  commits in flight never outnumber connections (``max_connections``),
+  and the executor bounds the threads that run them.
 * A disconnect mid-commit leaves nothing to clean up: the commit on
   its executor thread either lands or is rejected, and its response
   goes nowhere.
@@ -146,10 +148,6 @@ class StoreServer:
     max_connections:
         Bound on simultaneously served connections; excess connections
         get one ``overloaded`` error frame and are closed.
-    max_inflight_commits:
-        Bound on commits running on executor threads at once — the
-        write-backpressure knob.  Further commit requests queue on the
-        semaphore (their connections simply wait; nothing is dropped).
     idle_timeout:
         Seconds a connection may wait for its next *complete* frame
         before the server closes it (``None``, the default, never does)
@@ -176,7 +174,6 @@ class StoreServer:
     def __init__(self, engine: StoreEngine | ReplicaEngine,
                  host: str = "127.0.0.1", port: int = 0,
                  max_connections: int = 64,
-                 max_inflight_commits: int = 8,
                  sync_interval: float = 0.02,
                  idle_timeout: float | None = None,
                  cluster: Any = None,
@@ -189,7 +186,6 @@ class StoreServer:
         self.host = host
         self.port = port
         self.max_connections = max_connections
-        self.max_inflight_commits = max_inflight_commits
         self.sync_interval = sync_interval
         if idle_timeout is not None and idle_timeout <= 0:
             raise StoreError(
@@ -202,7 +198,6 @@ class StoreServer:
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
-        self._commit_slots: asyncio.Semaphore | None = None
         self._sync_task: asyncio.Task | None = None
         # relation name -> the _RowTexts of the Relation last read under
         # that name; see _op_read.
@@ -215,7 +210,6 @@ class StoreServer:
             slow_commit_threshold=slow_commit_threshold)
         m = self.metrics
         self._g_connections = m.gauge("server.connections")
-        self._g_inflight = m.gauge("server.inflight_commits")
         self._c_commits = m.counter("server.commits")
         self._c_rejected_overloaded = m.counter("server.rejected_overloaded")
         self._c_frames_served = m.counter("server.frames_served")
@@ -227,7 +221,6 @@ class StoreServer:
     # ------------------------------------------------------------------
     async def _start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._commit_slots = asyncio.Semaphore(self.max_inflight_commits)
         if self.read_only and not self.engine.ready:
             # Bootstrap before listening, so the first connection's
             # hello is answered whenever the log already holds a
@@ -506,15 +499,7 @@ class StoreServer:
             epoch=summary.get("epoch", 0),
             ready=True,
             counters=self._status_counters(),
-            connections=int(self._g_connections.value),
             max_connections=self.max_connections,
-            inflight_commits=int(self._g_inflight.value),
-            max_inflight_commits=self.max_inflight_commits,
-            commits=self._c_commits.value,
-            frames_served=self._c_frames_served.value,
-            bad_frames=self._c_bad_frames.value,
-            rejected_overloaded=self._c_rejected_overloaded.value,
-            idle_closed=self._c_idle_closed.value,
             seq=summary["seq"], versions=summary["versions"],
             branches=summary["branches"]))
 
@@ -546,12 +531,7 @@ class StoreServer:
         def commit():
             return engine.commit(engine.begin(branch).apply_records(ops))
 
-        async with self._commit_slots:  # write backpressure
-            self._g_inflight.inc()
-            try:
-                version = await self._loop.run_in_executor(None, commit)
-            finally:
-                self._g_inflight.dec()
+        version = await self._loop.run_in_executor(None, commit)
         self._c_commits.inc()
         parent = version.parent.vid if version.parent is not None else None
         return protocol.ok_response(rid, version=version.vid,

@@ -68,6 +68,9 @@ _ZERO_CLOCK = lambda: 0.0  # noqa: E731
 # because it happens inside ``wal.append``.
 COMMIT_PHASES = ("rebase", "validate", "derive", "wal_append", "total")
 
+# How many slow-commit records :attr:`StoreEngine.slow_commits` keeps.
+SLOW_COMMIT_LOG = 32
+
 
 def _render_groups(writes: frozenset, limit: int = 8):
     """The touched lhs-groups of a commit (:func:`write_footprint`),
@@ -81,6 +84,13 @@ def _render_groups(writes: frozenset, limit: int = 8):
         except (TypeError, ValueError):
             out.append([repr(key)])
     return out
+
+
+def _floor_of(checkpoint: dict) -> tuple[int, frozenset]:
+    """A checkpoint record's floor: its sequence counter and the
+    version ids of the heads it recorded."""
+    return (checkpoint["seq"], frozenset(
+        info["version"] for info in checkpoint["branches"].values()))
 
 
 class ProbeIndex:
@@ -151,7 +161,9 @@ class StoreEngine:
         Optional segment-directory path or :class:`WriteAheadLog`; when
         given, the root snapshot and every commit/branch/checkpoint are
         logged durably.  Each checkpoint heads a fresh segment, and
-        :meth:`WriteAheadLog.prune` drops the segments before it.
+        :meth:`WriteAheadLog.prune` drops the segments before it.  A
+        path opens a log that flushes every record; pass
+        ``WriteAheadLog(path, sync=True)`` to fsync each one too.
     checkpoint_every:
         When set, a checkpoint record is written automatically after
         every N commits (WAL-backed engines only) — the knob that keeps
@@ -162,7 +174,6 @@ class StoreEngine:
                  constraints: ConstraintSet | Iterable = (),
                  branch: str = "main",
                  wal: WriteAheadLog | str | Path | None = None,
-                 sync: bool = False,
                  audit_root: bool = True,
                  checkpoint_every: int | None = None,
                  _floor: tuple | None = None):
@@ -187,6 +198,11 @@ class StoreEngine:
         self.checkpoint_every = checkpoint_every
         self._commits_since_checkpoint = 0
         self._epoch = 0
+        # The newest checkpoint this engine wrote or replayed through,
+        # as (seq, head vids): where a replay from it starts.  ``branch``
+        # logs no anchor below it.  (A graph restored from a checkpoint
+        # holds nothing below its own floor.)
+        self._checkpoint_floor: tuple[int, frozenset] | None = None
         if _floor is None:
             self.graph = VersionGraph(root, branch)
         else:
@@ -208,7 +224,7 @@ class StoreEngine:
                     "would append a second snapshot and corrupt it — "
                     "replay it (StoreEngine.replay) or pick a new path")
             if not isinstance(wal, WriteAheadLog):
-                wal = WriteAheadLog(target, sync=sync)
+                wal = WriteAheadLog(target)
             wal.append(snapshot_record(root, self._constraint_set,
                                        self.graph.root.vid, branch))
         self.wal = wal
@@ -219,7 +235,7 @@ class StoreEngine:
         self.metrics = None
         self.tracer = NULL_TRACER
         self.slow_commit_threshold: float | None = None
-        self.slow_commits: deque = deque(maxlen=32)
+        self.slow_commits: deque = deque(maxlen=SLOW_COMMIT_LOG)
         self._obs_clock = _ZERO_CLOCK
         self._obs_hists: tuple | None = None
         self._obs_counters: dict | None = None
@@ -289,7 +305,16 @@ class StoreEngine:
     def branch(self, name: str, at: str | None = None,
                from_branch: str = "main") -> Version:
         """Create branch ``name`` at version ``at`` (default: the head of
-        ``from_branch``)."""
+        ``from_branch``).
+
+        A logged branch must anchor where a replay from the newest
+        checkpoint can find it: at a head that checkpoint recorded, or
+        at a version committed after it.  Any other anchor raises
+        :class:`StoreError` and logs nothing — its record would make
+        the log unreplayable from the checkpoint and stop every replica
+        that bootstrapped from it.  (Replay applies logged records
+        through an engine with no WAL, so an old log still replays.)
+        """
         with self._lock:
             version = self.graph.get(at) if at is not None \
                 else self.graph.head(from_branch)
@@ -298,6 +323,13 @@ class StoreEngine:
                 # that then fails to create would poison every replay.
                 raise StoreError(f"branch {name!r} already exists")
             if self.wal is not None:
+                floor = self._checkpoint_floor
+                if floor is not None and version.seq <= floor[0] \
+                        and version.vid not in floor[1]:
+                    raise StoreError(
+                        f"cannot branch {name!r} at {version.vid}: it is "
+                        "below the checkpoint floor (neither a "
+                        "checkpointed head nor committed after it)")
                 self.wal.append(branch_record(name, version.vid))
             self.graph.create_branch(name, version)
             self._indexes[name] = ProbeIndex(self.plan, version.state)
@@ -357,8 +389,8 @@ class StoreEngine:
 
     def attach_observability(self, metrics: MetricsRegistry | None = None,
                              tracer: Tracer | None = None,
-                             slow_commit_threshold: float | None = None,
-                             slow_commit_capacity: int = 32) -> None:
+                             slow_commit_threshold: float | None = None
+                             ) -> None:
         """Wire a metrics registry and/or tracer into the commit path.
 
         With a registry attached every commit feeds the per-phase
@@ -368,13 +400,14 @@ class StoreEngine:
         lands as one trace in the ring with its phases as child spans.
         ``slow_commit_threshold`` (seconds, against ``metrics.clock``)
         gates the structured slow-commit log kept on
-        :attr:`slow_commits`.  Passing ``metrics=None`` detaches
-        everything and restores the zero-cost path.
+        :attr:`slow_commits` (the newest :data:`SLOW_COMMIT_LOG`).
+        Passing ``metrics=None`` detaches everything and restores the
+        zero-cost path.
         """
         self.metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.slow_commit_threshold = slow_commit_threshold
-        self.slow_commits = deque(maxlen=slow_commit_capacity)
+        self.slow_commits = deque(maxlen=SLOW_COMMIT_LOG)
         if metrics is None:
             self._obs_clock = _ZERO_CLOCK
             self._obs_hists = None
@@ -503,6 +536,7 @@ class StoreEngine:
         self.wal.rotate()
         self.wal.append(record)
         self._commits_since_checkpoint = 0
+        self._checkpoint_floor = _floor_of(record)
         return record
 
     def prune_wal(self, archive: str | Path | None = None) -> list[Path]:
@@ -630,8 +664,9 @@ class StoreEngine:
         after it; the pre-checkpoint versions are simply absent from
         the rebuilt graph (the in-memory mirror of segment pruning).
         ``from_checkpoint=False`` replays the full history from v0.
-        Note that a ``branch`` record anchored at a pre-checkpoint
-        version can only be replayed from the full log.
+        A ``branch`` record anchored below the checkpoint, which
+        :meth:`branch` refuses to write but a log may already hold,
+        replays only from the full log.
 
         With ``verify=True`` every logged commit is re-validated
         through the normal gate and every checkpoint's documents are
@@ -849,6 +884,7 @@ class StoreEngine:
                         f"checkpoint drift: branch {name!r} state at "
                         f"{head.vid} does not match its checkpoint "
                         "document")
+        self._checkpoint_floor = _floor_of(record)
 
     def _install_unverified(self, txn: Transaction) -> Version:
         """Re-apply a logged commit without re-judging it (replay trusts

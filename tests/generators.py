@@ -17,7 +17,13 @@ from pathlib import Path
 
 from repro.relational import FD, MVD, JoinDependency, Relation
 from repro.relational.algebra import join_all_naive, project_naive
-from repro.store import ProbeIndex, ValidationPlan, WalCursor, WriteAheadLog
+from repro.store import (
+    ProbeIndex,
+    Transaction,
+    ValidationPlan,
+    WalCursor,
+    WriteAheadLog,
+)
 
 
 def chaos_seeds(count: int, base: int | None = None) -> list[int]:
@@ -340,6 +346,28 @@ def fresh_net_changes(txn, state):
     off a :class:`ProbeIndex` built fresh for ``state`` — so an oracle
     never leans on the engine's incrementally maintained index."""
     return txn.net_changes(state, ProbeIndex(ValidationPlan(state), state))
+
+
+def assert_serializable(engine, branch="main"):
+    """The serializability oracle: replaying the committed ops serially,
+    single-threaded, reproduces every state of ``branch``."""
+    versions = list(engine.graph.log(branch))
+    state = versions[0].state
+    for version in versions[1:]:
+        txn = Transaction(engine.schema, branch)
+        txn.ops = list(version.ops)
+        changes = fresh_net_changes(txn, state)
+        state = state.apply_changes(changes.added, changes.removed)
+        assert state == version.state, version.vid
+    return state
+
+
+def assert_graphs_equal(a, b):
+    """Head-for-head, state-for-state equality of two engines."""
+    assert a.graph.branches() == b.graph.branches()
+    assert len(a.graph) == len(b.graph)
+    for name in a.graph.branches():
+        assert a.state(branch=name) == b.state(branch=name), name
 
 
 def audit_oracle(engine, ops) -> tuple:

@@ -36,7 +36,7 @@ from repro.server import (
 from repro.store import Session, StoreEngine
 from repro.workloads import manager_stream, serving_state
 
-from generators import chaos_seeds, last_segment
+from generators import assert_graphs_equal, chaos_seeds, last_segment
 
 
 def _mk_engine(n=30, **kwargs):
@@ -48,13 +48,6 @@ def _commit_rows(engine, rows, branch="main"):
     session = Session(engine, branch)
     return [session.commit(session.begin().insert("manager", row))
             for row in rows]
-
-
-def _graphs_equal(a, b):
-    assert a.graph.branches() == b.graph.branches()
-    assert len(a.graph) == len(b.graph)
-    for name in a.graph.branches():
-        assert a.state(branch=name) == b.state(branch=name), name
 
 
 class FakeClock:
@@ -241,9 +234,9 @@ def _standing_cluster(tmp_path, tag, replica_ids=("r1", "r2", "r3")):
     return wal, primary, replicas
 
 
-def _shared_monitor(clock, primary_probe, replicas, seed=0):
+def _shared_monitor(clock, primary_probe, replicas):
     monitor = HealthMonitor(clock=clock, probe_interval=1.0,
-                            suspect_after=2, dead_after=4, seed=seed)
+                            suspect_after=2, dead_after=4)
     monitor.add_peer("primary", primary_probe)
     for rid, rep in replicas.items():
         monitor.add_peer(rid, engine_probe(rep))
@@ -334,7 +327,7 @@ class TestCoordinator:
             assert coords[rid].primary_id == "r3", rid
             assert coords[rid].role == "follower", rid
             assert replicas[rid].engine.epoch == 1, rid
-        _graphs_equal(replicas["r1"].engine, coords["r3"].engine)
+        assert_graphs_equal(replicas["r1"].engine, coords["r3"].engine)
         coords["r3"].engine.wal.close()
 
     def test_split_brain_race_loser_is_fenced_then_repins(self, tmp_path):
@@ -380,7 +373,7 @@ class TestCoordinator:
         event = coords["rB"].step()
         assert event is not None and event["action"] == "repinned"
         assert event["epoch"] == 1
-        _graphs_equal(replicas["rB"].engine, coords["rA"].engine)
+        assert_graphs_equal(replicas["rB"].engine, coords["rA"].engine)
         coords["rA"].engine.wal.close()
 
     def test_dead_deferred_winner_drops_out_next_round(self, tmp_path):
@@ -444,7 +437,7 @@ class TestCoordinator:
         assert event["action"] == "no-candidates"
         assert coord.role == "follower"
 
-    def test_on_promoted_callback_and_describe(self, tmp_path):
+    def test_describe_after_promotion(self, tmp_path):
         wal, primary, replicas = _standing_cluster(
             tmp_path, "callback", replica_ids=("r1",))
         replicas["r1"].sync()
@@ -453,13 +446,11 @@ class TestCoordinator:
         probe = _Killable(primary)
         probe.dead = True
         monitor = _shared_monitor(clock, probe, replicas)
-        handed = []
-        coord = Coordinator("r1", replicas["r1"], monitor,
-                            on_promoted=handed.append)
+        coord = Coordinator("r1", replicas["r1"], monitor)
         for _ in range(4):
             clock.advance(1.0)
             coord.step()
-        assert handed == [coord.engine]
+        assert coord.engine is not None
         summary = coord.describe()
         assert summary["role"] == "primary"
         assert summary["replica_id"] == "r1"
@@ -728,8 +719,7 @@ class TestKillAndHealSweep:
         monitors, coords = {}, {}
         for rid in ids:
             monitor = HealthMonitor(clock=clock, probe_interval=1.0,
-                                    suspect_after=2, dead_after=4,
-                                    seed=seed)
+                                    suspect_after=2, dead_after=4)
             monitor.attach_observability(self._obs, self._obs_tracer)
             monitor.add_peer("primary",
                              wire_probe(primary_addr, timeout=0.2))

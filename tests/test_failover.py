@@ -37,7 +37,7 @@ from repro.server import (
 from repro.store import Session, StoreEngine, WriteAheadLog
 from repro.workloads import manager_stream, serving_state
 
-from generators import chaos_seeds, last_segment
+from generators import assert_graphs_equal, chaos_seeds, last_segment
 
 
 def _mk_engine(n=30, **kwargs):
@@ -49,14 +49,6 @@ def _commit_rows(engine, rows, branch="main"):
     session = Session(engine, branch)
     return [session.commit(session.begin().insert("manager", row))
             for row in rows]
-
-
-def _graphs_equal(a, b):
-    """Head-for-head, state-for-state equality of two engines."""
-    assert a.graph.branches() == b.graph.branches()
-    assert len(a.graph) == len(b.graph)
-    for name in a.graph.branches():
-        assert a.state(branch=name) == b.state(branch=name), name
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +63,7 @@ class TestPromotion:
         promoted = promote(replica)
         assert promoted.epoch == 1
         assert promoted.describe()["epoch"] == 1
-        _graphs_equal(promoted, primary)
+        assert_graphs_equal(promoted, primary)
         # The promoted engine serves writes under the new epoch.
         _commit_rows(promoted, manager_stream(30, 4)[3:])
         assert promoted.graph.seq == primary.graph.seq + 1
@@ -108,7 +100,7 @@ class TestPromotion:
         _commit_rows(promoted, manager_stream(30, 3)[2:])
         follower.sync()
         assert follower.engine.epoch == 1
-        _graphs_equal(follower.engine, promoted)
+        assert_graphs_equal(follower.engine, promoted)
 
     def test_live_tail_refuses_promotion(self, tmp_path):
         """A log that keeps growing after catch-up means the old
@@ -156,7 +148,7 @@ class TestPromotion:
         del loser.catch_up, loser.behind_bytes
         loser.sync()
         assert loser.engine.epoch == 1
-        _graphs_equal(loser.engine, winner)
+        assert_graphs_equal(loser.engine, winner)
 
     def test_double_promotion_advances_the_epoch_again(self, tmp_path):
         wal = tmp_path / "w.jsonl"
@@ -178,7 +170,7 @@ class TestPromotion:
         promoted.wal.close()
         replayed = StoreEngine.replay(wal)
         assert replayed.epoch == 1
-        _graphs_equal(replayed, promoted)
+        assert_graphs_equal(replayed, promoted)
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +288,7 @@ class TestWireEpoch:
                 assert client.server_info["epoch"] == 1
                 status = client.status()
                 assert status["epoch"] == 1
-                assert status["idle_closed"] == 0
+                assert status["counters"]["server.idle_closed"] == 0
 
     def test_fenced_commit_crosses_the_wire_typed(self, tmp_path):
         wal = tmp_path / "w.jsonl"
@@ -345,7 +337,8 @@ class TestIdleTimeout:
             deadline = time.monotonic() + 5.0
             while True:
                 with StoreClient(*server.address) as probe:
-                    if probe.status()["idle_closed"] >= 1:
+                    if probe.status()["counters"][
+                            "server.idle_closed"] >= 1:
                         break
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
@@ -371,7 +364,8 @@ class TestIdleTimeout:
                     tail = b""
                 assert tail == b""  # hung up before the pong
             with StoreClient(*server.address) as probe:
-                assert probe.status()["idle_closed"] == 1
+                assert probe.status()["counters"][
+                    "server.idle_closed"] == 1
         engine.close()
 
     def test_active_connection_survives_the_timeout(self):

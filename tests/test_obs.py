@@ -31,6 +31,7 @@ from repro.obs import (
     NULL_TRACER,
     Tracer,
 )
+from repro.obs.trace import TRACE_RING
 from repro.server import (
     ReadBalancer,
     ReplicaEngine,
@@ -41,6 +42,7 @@ from repro.server import (
     validate_status,
 )
 from repro.store import Session, StoreEngine, WriteAheadLog
+from repro.store.engine import SLOW_COMMIT_LOG
 from repro.workloads import manager_stream, serving_state
 
 
@@ -187,12 +189,14 @@ class TestTracer:
         assert len(t) == 1  # the child folded into its parent
 
     def test_ring_evicts_oldest_first(self):
-        t = Tracer(capacity=3)
-        for i in range(5):
+        t = Tracer()
+        for i in range(TRACE_RING + 2):
             t.event(f"e{i}")
-        assert [x["name"] for x in t.recent()] == ["e2", "e3", "e4"]
+        names = [x["name"] for x in t.recent()]
+        assert len(names) == TRACE_RING
+        assert names[0] == "e2" and names[-1] == f"e{TRACE_RING + 1}"
 
-    def test_slowest_sorts_and_filters_by_prefix(self):
+    def test_slowest_sorts_longest_first(self):
         t = Tracer()
         t.record({"name": "a.fast", "duration": 0.01, "start": 0,
                   "end": 0.01, "tags": {}, "spans": []})
@@ -201,8 +205,6 @@ class TestTracer:
         t.record({"name": "b.other", "duration": 1.0, "start": 0,
                   "end": 1.0, "tags": {}, "spans": []})
         assert [x["name"] for x in t.slowest(2)] == ["b.other", "a.slow"]
-        assert [x["name"] for x in t.slowest(5, prefix="a.")] \
-            == ["a.slow", "a.fast"]
 
     def test_threads_nest_independently(self):
         """The span stack is thread-local: a span opened on one thread
@@ -308,11 +310,11 @@ class TestCommitObservability:
     def test_slow_commit_log_is_bounded(self):
         engine = _mk_engine(n=60)
         registry = MetricsRegistry(clock=FakeClock(step=0.05))
-        engine.attach_observability(registry, slow_commit_threshold=0.01,
-                                    slow_commit_capacity=4)
-        _commit_rows(engine, manager_stream(60, 7))
-        assert len(engine.slow_commits) == 4
-        assert registry.snapshot()["counters"]["store.slow_commits"] == 7
+        engine.attach_observability(registry, slow_commit_threshold=0.01)
+        _commit_rows(engine, manager_stream(60, SLOW_COMMIT_LOG + 3))
+        assert len(engine.slow_commits) == SLOW_COMMIT_LOG
+        assert registry.snapshot()["counters"]["store.slow_commits"] \
+            == SLOW_COMMIT_LOG + 3
 
     def test_detach_restores_the_zero_cost_path(self, tmp_path):
         engine = _mk_engine(wal=str(tmp_path / "w.log"))
@@ -474,8 +476,7 @@ class TestThinViews:
             snap = server.metrics.snapshot()
             assert snap["counters"]["server.commits"] == 0
             assert snap["counters"]["server.bad_frames"] == 0
-            assert status["frames_served"] == \
-                status["counters"]["server.frames_served"]
+            assert "frames_served" not in status  # one copy: counters
 
     def test_balancer_counters_are_registry_backed(self):
         balancer = ReadBalancer({"r1": ("127.0.0.1", 1)},

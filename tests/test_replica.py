@@ -79,7 +79,7 @@ class TestLiveTailDifferential:
 
         _drive(rng, engine, db, 14, replica=replica)
         if len(engine.graph) > 3 and rng.random() < 0.5:
-            engine.branch("side", at="v1")
+            engine.branch("side")  # at main's head: above any checkpoint
             side = Session(engine, "side")
             try:
                 side.run(random_txn_specs(rng, db, 1)[0])
@@ -345,18 +345,17 @@ class TestStalenessReport:
         assert status["behind_bytes"] == 0
         assert status["applied_records"] >= 2
         assert status["branches"] == engine.graph.branches()
-        assert replica.lag()["current"] is True
 
         # fresh primary commits show up as measurable lag ...
         for row in rows[1:]:
             session.run([op_record("insert", "manager", row)])
         assert replica.behind_bytes() > 0
-        assert replica.lag()["current"] is False
+        assert replica.status()["behind_bytes"] > 0
         # ... and vanish after a sync
         replica.catch_up()
         engine.close()
         replica.catch_up()
-        assert replica.lag()["current"] is True
+        assert replica.status()["behind_bytes"] == 0
         assert replica.describe()["role"] == "replica"
 
     def test_reads_before_bootstrap_fail_loudly(self, tmp_path):

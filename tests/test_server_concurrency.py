@@ -4,8 +4,8 @@ bound under sustained writes.
 
 The claim under test is that putting the wire between clients and the
 store changes *nothing* about the concurrency contract: N socket
-clients hammering contended commits through the asyncio front end — via
-the commit-slot backpressure semaphore — must leave a graph that
+clients hammering contended commits through the asyncio front end and
+its executor threads must leave a graph that
 replays serially to the identical state, just
 as the in-process threads of ``test_store_concurrency`` do.  On top of
 that, a replica tailing the primary's WAL while the writers run must
@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import CommitRejected, StoreError
 from repro.server import ReplicaEngine, StoreClient, StoreServer
-from repro.store import StoreEngine, Transaction, WriteAheadLog
+from repro.store import StoreEngine, WriteAheadLog
 from repro.workloads import (
     contended_commit_specs,
     disjoint_commit_specs,
@@ -31,7 +31,7 @@ from repro.workloads import (
     serving_state,
 )
 
-from generators import fresh_net_changes
+from generators import assert_serializable
 
 pytestmark = pytest.mark.slow
 
@@ -39,20 +39,6 @@ pytestmark = pytest.mark.slow
 def _engine(n, **kwargs):
     schema, db, constraints = serving_state(n)
     return StoreEngine(db, constraints, **kwargs)
-
-
-def _assert_serializable(engine, branch="main"):
-    """Identical oracle to test_store_concurrency: re-apply every
-    committed version's ops single-threaded and demand each state."""
-    versions = list(engine.graph.log(branch))
-    state = versions[0].state
-    for version in versions[1:]:
-        txn = Transaction(engine.schema, branch)
-        txn.ops = list(version.ops)
-        changes = fresh_net_changes(txn, state)
-        state = state.apply_changes(changes.added, changes.removed)
-        assert state == version.state, version.vid
-    return state
 
 
 def _drive_over_wire(server, per_writer_specs, engine):
@@ -102,27 +88,27 @@ class TestWireSerializability:
         with StoreServer(engine, max_connections=writers + 2) as server:
             committed, rejected = _drive_over_wire(server, specs, engine)
         assert (committed, rejected) == (writers * per_writer, 0)
-        final = _assert_serializable(engine)
+        final = assert_serializable(engine)
         assert final == engine.state()
         assert engine.audit().ok()
 
     def test_contended_writers_over_sockets(self):
-        """Every client races to insert the same rows through a small
-        commit-slot pool: each commit lands on the head it finds,
+        """Every client races to insert the same rows: each commit
+        lands on the head it finds,
         duplicates net to no-ops, and the result equals one serial
         pass."""
         n, writers = 120, 6
         engine = _engine(n)
         rows = manager_stream(n, 10)
         specs = contended_commit_specs(rows, writers)
-        with StoreServer(engine, max_inflight_commits=3) as server:
+        with StoreServer(engine) as server:
             committed, rejected = _drive_over_wire(server, specs, engine)
         assert rejected == 0
         assert committed >= len(rows)  # at least one win per row
         managers = engine.state().R("manager")
         assert all(any(t["pname"] == r["pname"] for t in managers)
                    for r in rows)
-        _assert_serializable(engine)
+        assert_serializable(engine)
         assert engine.audit().ok()
 
     def test_mixed_random_traffic_one_client_per_writer(self):
@@ -154,7 +140,7 @@ class TestWireSerializability:
             for t in threads:
                 t.join()
         assert not counts["errors"]
-        _assert_serializable(engine)
+        assert_serializable(engine)
         assert engine.audit().ok()
 
 
@@ -269,7 +255,7 @@ class TestDisconnectTeardown:
         n = 120
         engine = _engine(n)
         rows = manager_stream(n, 24)
-        with StoreServer(engine, max_inflight_commits=2) as server:
+        with StoreServer(engine) as server:
             for i, row in enumerate(rows):
                 client = StoreClient(*server.address)
                 client.send_message(
@@ -285,6 +271,6 @@ class TestDisconnectTeardown:
             with StoreClient(*server.address) as probe:
                 assert probe.ping()
                 status = probe.status()
-                assert status["connections"] >= 1
-        _assert_serializable(engine)
+                assert status["counters"]["server.connections"] >= 1
+        assert_serializable(engine)
         assert engine.audit().ok()

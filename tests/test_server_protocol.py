@@ -345,8 +345,8 @@ class TestServerOps:
     def test_status_gauges(self, client):
         status = client.status()
         assert status["role"] == "primary"
-        assert status["connections"] >= 1
-        assert status["max_inflight_commits"] >= 1
+        assert status["counters"]["server.connections"] >= 1
+        assert status["max_connections"] >= 1
 
     def test_request_id_is_echoed_verbatim(self, server):
         with StoreClient(*server.address, hello=False) as c:

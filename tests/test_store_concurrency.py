@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import DatabaseExtension
 from repro.errors import CommitRejected
-from repro.store import Session, StoreEngine, Transaction
+from repro.store import Session, StoreEngine
 from repro.workloads import (
     contended_commit_specs,
     disjoint_commit_specs,
@@ -31,7 +31,11 @@ from repro.workloads import (
     serving_state,
 )
 
-from generators import fresh_net_changes, random_database_states, wal_records
+from generators import (
+    assert_serializable,
+    random_database_states,
+    wal_records,
+)
 
 
 class GlobalLockEngine(StoreEngine):
@@ -91,19 +95,6 @@ def _drive(engine, per_writer_specs):
     return len(engine.graph) - before, counts["rejected"]
 
 
-def _assert_serializable(engine, branch="main"):
-    """Replaying the committed ops serially reproduces every state."""
-    versions = list(engine.graph.log(branch))
-    state = versions[0].state
-    for version in versions[1:]:
-        txn = Transaction(engine.schema, branch)
-        txn.ops = list(version.ops)
-        changes = fresh_net_changes(txn, state)
-        state = state.apply_changes(changes.added, changes.removed)
-        assert state == version.state, version.vid
-    return state
-
-
 class TestDisjointWriters:
     def test_all_commit_and_serialize(self):
         n, writers, per_writer = 120, 4, 10
@@ -113,7 +104,7 @@ class TestDisjointWriters:
         committed, rejected = _drive(engine, specs)
         assert (committed, rejected) == (writers * per_writer, 0)
         assert len(engine.graph) == committed + 1
-        final = _assert_serializable(engine)
+        final = assert_serializable(engine)
         assert final == engine.state()
         assert engine.audit().ok()
 
@@ -167,7 +158,7 @@ class TestCommitRule:
             except CommitRejected as exc:
                 outcome = sorted(map(repr, exc.findings))
             engine.close()
-            _assert_serializable(engine)
+            assert_serializable(engine)
             runs[mode] = (outcome, engine.state(),
                           wal_records(wal))
         assert runs["early"] == runs["head"], (seed, probe)
@@ -189,7 +180,7 @@ class TestStress:
         managers = engine.state().R("manager")
         assert all(any(t["pname"] == r["pname"] for t in managers)
                    for r in rows)
-        _assert_serializable(engine)
+        assert_serializable(engine)
         assert engine.audit().ok()
 
     def test_mixed_random_traffic_serializes(self):
@@ -200,7 +191,7 @@ class TestStress:
         committed, rejected = _drive(
             engine, [specs[i::writers] for i in range(writers)])
         assert committed + rejected > 0
-        _assert_serializable(engine)
+        assert_serializable(engine)
         assert engine.audit().ok()
 
     def test_disjoint_and_conflicting_mix_with_wal(self, tmp_path):
@@ -212,7 +203,7 @@ class TestStress:
         contended = contended_commit_specs(rows[16:], writers)
         mixed = [d + c for d, c in zip(disjoint, contended)]
         _drive(engine, mixed)
-        _assert_serializable(engine)
+        assert_serializable(engine)
         engine.close()
         replayed = StoreEngine.replay(path, verify=True)
         assert replayed.state() == engine.state()

@@ -25,12 +25,14 @@ import pytest
 
 from repro.core.employee import employee_constraints, employee_extension
 from repro.errors import StoreError, TornTailWarning
+from repro.server import ReplicaEngine, StoreClient, StoreServer
 from repro.store import (
     Session,
     StoreEngine,
     WalCursor,
     WriteAheadLog,
 )
+from repro.store.wal import branch_record
 from repro.workloads import (
     disjoint_commit_specs,
     manager_stream,
@@ -367,11 +369,14 @@ class TestCheckpoint:
             full.graph.head("frozen").vid)
 
     def test_branch_below_checkpoint_floor(self, tmp_path):
+        """A log that holds a below-floor ``branch`` record, which
+        ``StoreEngine.branch`` refuses to write, replays in full, and
+        only in full."""
         wal = tmp_path / "store.wal"
         engine = _mk_engine(wal=wal)
         _commit_rows(engine, manager_stream(60, 4))
         engine.checkpoint()
-        engine.branch("old", at="v1")  # anchored below the future floor
+        engine.wal.append(branch_record("old", "v1"))  # below the floor
         engine.close()
         with pytest.raises(StoreError, match="below the checkpoint floor"):
             StoreEngine.replay(wal)
@@ -396,6 +401,85 @@ class TestCheckpoint:
         seg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(StoreError, match="drift"):
             StoreEngine.replay(wal, from_checkpoint=False, verify=True)
+
+
+class TestBranchFloor:
+    """A branch anchors only where a replay from the newest checkpoint
+    can find it: at a head that checkpoint recorded, or at a version
+    committed after it."""
+
+    @staticmethod
+    def _checkpointed(tmp_path):
+        wal = tmp_path / "store.wal"
+        engine = _mk_engine(wal=wal)
+        _commit_rows(engine, manager_stream(60, 4))  # v1..v4
+        engine.checkpoint()
+        engine.prune_wal()  # drops the segment holding v0..v4
+        return wal, engine
+
+    @staticmethod
+    def _assert_rebuilds(engine, other):
+        assert other.graph.branches() == engine.graph.branches()
+        for name in engine.graph.branches():
+            assert other.state(branch=name) == engine.state(branch=name)
+
+    def test_live_branch_below_the_floor_is_refused_unlogged(
+            self, tmp_path):
+        wal, engine = self._checkpointed(tmp_path)
+        before = wal_records(wal)
+        with pytest.raises(StoreError, match="below the checkpoint floor"):
+            engine.branch("old", at="v1")
+        assert wal_records(wal) == before
+        assert "old" not in engine.graph.branches()
+        engine.close()
+        self._assert_rebuilds(engine, StoreEngine.replay(wal))
+        self._assert_rebuilds(
+            engine, StoreEngine.replay(wal, from_checkpoint=False))
+
+    def test_checkpointed_head_and_later_versions_still_branch(
+            self, tmp_path):
+        wal, engine = self._checkpointed(tmp_path)
+        assert engine.branch("at-floor", at="v4").vid == "v4"
+        later = _commit_rows(engine, manager_stream(60, 6)[4:])  # v5, v6
+        assert engine.branch("after", at=later[0].vid).vid == "v5"
+        _commit_rows(engine, manager_stream(60, 8)[6:7], branch="after")
+        _commit_rows(engine, manager_stream(60, 8)[7:], branch="at-floor")
+        with pytest.raises(StoreError, match="below the checkpoint floor"):
+            engine.branch("old", at="v3")
+        engine.close()
+        self._assert_rebuilds(engine, StoreEngine.replay(wal))
+        replica = ReplicaEngine(wal)
+        replica.catch_up()
+        self._assert_rebuilds(engine, replica.engine)
+
+    def test_engines_rebuilt_through_a_checkpoint_keep_its_floor(
+            self, tmp_path):
+        wal = tmp_path / "store.wal"
+        engine = _mk_engine(wal=wal)
+        _commit_rows(engine, manager_stream(60, 4))
+        engine.checkpoint()
+        engine.close()
+        # promote()'s path: an engine rebuilt from the whole log, which
+        # replayed through the checkpoint, adopts the log.
+        full = StoreEngine.replay(wal, from_checkpoint=False)
+        full.adopt_wal(WriteAheadLog(wal))
+        with pytest.raises(StoreError, match="below the checkpoint floor"):
+            full.branch("old", at="v1")
+        full.branch("ok", at="v4")
+        full.close()
+        assert StoreEngine.replay(wal).graph.branches() == {
+            "main": "v4", "ok": "v4"}
+
+    def test_wire_branch_below_the_floor_is_refused(self, tmp_path):
+        wal, engine = self._checkpointed(tmp_path)
+        with StoreServer(engine) as server:
+            with StoreClient(*server.address) as client:
+                with pytest.raises(StoreError,
+                                   match="below the checkpoint floor"):
+                    client.create_branch("old", at="v1")
+                assert client.create_branch("new", at="v4")["at"] == "v4"
+        engine.close()
+        self._assert_rebuilds(engine, StoreEngine.replay(wal))
 
 
 class TestReplaceThroughTheLog:
